@@ -97,3 +97,23 @@ func TestRouteParallelAllocBound(t *testing.T) {
 		t.Errorf("routeParallel allocates %.0f per call, want <= %d", avg, budget)
 	}
 }
+
+// TestParallelForAllocFree: a fanned-out parallelFor call allocates
+// nothing in steady state. Its runners are the recycled loop itself sent
+// over the pool's channel, not per-call closures, counters or wait
+// groups — the per-dispatch allocations routeParallel's bound above
+// leaves no room for at GOMAXPROCS >= 2.
+func TestParallelForAllocFree(t *testing.T) {
+	skipIfInstrumented(t)
+	p := newWorkerPool(4)
+	defer p.close()
+	hits := make([]int32, 64)
+	body := func(i int) { hits[i]++ }
+	for name, loop := range map[string]func(int, int, func(int)){"parallelFor": p.parallelFor, "parallelForSafe": p.parallelForSafe} {
+		run := func() { loop(4, len(hits), body) }
+		run() // warm the loop pool
+		if avg := testing.AllocsPerRun(100, run); avg != 0 {
+			t.Errorf("%s allocates %.0f per call, want 0", name, avg)
+		}
+	}
+}

@@ -495,3 +495,31 @@ func TestStagePanicPropagates(t *testing.T) {
 		t.Fatalf("pool unusable after panic: %v", got)
 	}
 }
+
+// TestParallelForSafeReraisesFirstPanic: a panicking body does not stop
+// the other indices, the panic resurfaces on the caller, and the recycled
+// loop state carries nothing into the next call.
+func TestParallelForSafeReraisesFirstPanic(t *testing.T) {
+	p := newWorkerPool(4)
+	defer p.close()
+	var hits atomic.Int64
+	func() {
+		defer func() {
+			if r := recover(); r != "boom 3" {
+				t.Fatalf("recovered %v, want boom 3", r)
+			}
+		}()
+		p.parallelForSafe(4, 50, func(i int) {
+			hits.Add(1)
+			if i == 3 {
+				panic("boom 3")
+			}
+		})
+	}()
+	if hits.Load() != 50 {
+		t.Fatalf("%d of 50 indices ran after a panic", hits.Load())
+	}
+	for k := 0; k < 10; k++ {
+		p.parallelForSafe(4, 50, func(int) {}) // must not re-raise a stale panic
+	}
+}

@@ -5,24 +5,43 @@ import (
 	"sync/atomic"
 )
 
-// workerPool is a persistent set of goroutines executing submitted
-// functions. One pool is created per Session and reused for every stage of
-// every job, replacing the goroutine-per-partition + fresh-semaphore
-// launch that paid spawn and scheduling cost on every stage.
+// workerPool is a persistent set of goroutines executing parallel loops.
+// One pool is created per Session and reused for every stage of every
+// job, replacing the goroutine-per-partition + fresh-semaphore launch that
+// paid spawn and scheduling cost on every stage.
 //
 // Workers reference only the pool, never the Session, so an abandoned
 // Session stays collectable: a runtime cleanup registered in NewSession
 // closes the task channel and the workers exit.
 type workerPool struct {
-	tasks     chan func()
+	tasks     chan *forLoop
 	closeOnce sync.Once
 }
+
+// forLoop is the shared state of one parallelFor call. Runners are the
+// loop itself sent width times over the task channel, and loops are
+// recycled through loopPool, so a call allocates nothing in steady state:
+// no per-runner closure, no escaping counter or wait group.
+type forLoop struct {
+	next atomic.Int64
+	n    int
+	body func(i int)
+	wg   sync.WaitGroup
+
+	// safe loops recover body panics: the first is kept for the caller
+	// to re-raise and the remaining indices still run.
+	safe     bool
+	mu       sync.Mutex
+	panicked any
+}
+
+var loopPool = sync.Pool{New: func() any { return new(forLoop) }}
 
 func newWorkerPool(workers int) *workerPool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &workerPool{tasks: make(chan func())}
+	p := &workerPool{tasks: make(chan *forLoop)}
 	for i := 0; i < workers; i++ {
 		go p.worker()
 	}
@@ -30,18 +49,41 @@ func newWorkerPool(workers int) *workerPool {
 }
 
 func (p *workerPool) worker() {
-	for f := range p.tasks {
-		f()
+	for l := range p.tasks {
+		l.run()
 	}
 }
 
-// submit schedules f on an idle worker, blocking while all workers are
-// busy. Submitted functions must not panic (a panic kills the worker and
-// the process) and must not submit to the pool themselves (deadlock);
-// parallelFor callers recover inside their bodies.
-func (p *workerPool) submit(f func()) { p.tasks <- f }
+// run claims indices from the shared counter until the range is spent.
+func (l *forLoop) run() {
+	defer l.wg.Done()
+	for {
+		i := int(l.next.Add(1) - 1)
+		if i >= l.n {
+			return
+		}
+		l.call(i)
+	}
+}
 
-// close stops the workers after in-flight tasks drain. The pool must not
+func (l *forLoop) call(i int) {
+	if l.safe {
+		defer l.recoverBody()
+	}
+	l.body(i)
+}
+
+func (l *forLoop) recoverBody() {
+	if r := recover(); r != nil {
+		l.mu.Lock()
+		if l.panicked == nil {
+			l.panicked = r
+		}
+		l.mu.Unlock()
+	}
+}
+
+// close stops the workers after in-flight loops drain. The pool must not
 // be used afterwards. Idempotent.
 func (p *workerPool) close() { p.closeOnce.Do(func() { close(p.tasks) }) }
 
@@ -50,8 +92,22 @@ func (p *workerPool) close() { p.closeOnce.Do(func() { close(p.tasks) }) }
 // indices from a shared atomic counter, so submission cost is O(width),
 // not O(n) — a stage with 1200 partitions hands the pool a handful of
 // loop runners instead of 1200 channel sends. With width <= 1 the loop
-// runs inline on the caller, bypassing the pool entirely.
+// runs inline on the caller, bypassing the pool entirely. Bodies must not
+// panic (a panic kills the worker and the process) and must not call
+// parallelFor on the same pool themselves (deadlock).
 func (p *workerPool) parallelFor(width, n int, body func(i int)) {
+	p.loop(width, n, body, false)
+}
+
+// parallelForSafe is parallelFor with panic capture: a panicking body
+// records the first panic, the remaining indices still run, and the panic
+// is re-raised on the caller's goroutine — matching what inline serial
+// execution would do without killing pool workers.
+func (p *workerPool) parallelForSafe(width, n int, body func(i int)) {
+	p.loop(width, n, body, true)
+}
+
+func (p *workerPool) loop(width, n int, body func(i int), safe bool) {
 	if n <= 0 {
 		return
 	}
@@ -64,39 +120,17 @@ func (p *workerPool) parallelFor(width, n int, body func(i int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(width)
+	l := loopPool.Get().(*forLoop)
+	l.n, l.body, l.safe = n, body, safe
+	l.wg.Add(width)
 	for w := 0; w < width; w++ {
-		p.submit(func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				body(i)
-			}
-		})
+		p.tasks <- l
 	}
-	wg.Wait()
-}
-
-// parallelForSafe is parallelFor with panic capture: a panicking body
-// records the first panic, the remaining indices still run, and the panic
-// is re-raised on the caller's goroutine — matching what inline serial
-// execution would do without killing pool workers.
-func (p *workerPool) parallelForSafe(width, n int, body func(i int)) {
-	var once sync.Once
-	var panicked any
-	p.parallelFor(width, n, func(i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				once.Do(func() { panicked = r })
-			}
-		}()
-		body(i)
-	})
+	l.wg.Wait()
+	panicked := l.panicked
+	l.next.Store(0)
+	l.body, l.panicked = nil, nil
+	loopPool.Put(l)
 	if panicked != nil {
 		panic(panicked)
 	}

@@ -11,7 +11,7 @@ package engine
 // driver-evaluated source partitions, all framed with the batchio codec.
 // The worker resolves operator names through the same registry (populated
 // by init-time registrations linked into both processes — see
-// internal/taskreg), fetches the leaf blocks, and replays the exact
+// internal/taskreg), resolves the leaf blocks, and replays the exact
 // unfused per-operator evaluation the driver's evalPartDirect would run.
 // Results are bit-identical by construction: both sides run the same
 // registered kernels over the same blocks in the same order.
@@ -25,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -69,12 +68,6 @@ func (e *PoisonTaskError) Error() string {
 		e.Stage, e.Part, e.Ops, e.Workers)
 }
 
-// blockLostMark prefixes every BlockLostError message. A worker that hits
-// a corrupt block reports the failure as a plain error string over the
-// wire; ParseBlockLost recovers the typed identity on the driver side by
-// scanning for this marker.
-const blockLostMark = "lost block "
-
 // BlockLostError reports that a stored block could not be served intact —
 // its spill file failed the integrity checksum, was truncated, or
 // vanished. The executor surfaces it as a lost shuffle output of the
@@ -86,31 +79,7 @@ type BlockLostError struct {
 }
 
 func (e *BlockLostError) Error() string {
-	return fmt.Sprintf("%s%d: %s", blockLostMark, e.Block, e.Reason)
-}
-
-// ParseBlockLost scans an error message (possibly wrapped by worker-side
-// prefixes and a wire crossing) for a BlockLostError marker and returns
-// the lost block id plus the trailing reason text.
-func ParseBlockLost(msg string) (id uint64, reason string, ok bool) {
-	i := strings.LastIndex(msg, blockLostMark)
-	if i < 0 {
-		return 0, "", false
-	}
-	rest := msg[i+len(blockLostMark):]
-	j := 0
-	for j < len(rest) && rest[j] >= '0' && rest[j] <= '9' {
-		j++
-	}
-	if j == 0 {
-		return 0, "", false
-	}
-	id, err := strconv.ParseUint(rest[:j], 10, 64)
-	if err != nil {
-		return 0, "", false
-	}
-	reason = strings.TrimPrefix(rest[j:], ": ")
-	return id, reason, true
+	return fmt.Sprintf("lost block %d: %s", e.Block, e.Reason)
 }
 
 // OpChain renders the operator names of a task tree, root-last, for
@@ -239,7 +208,7 @@ type RemoteNode struct {
 	Inputs []RemoteInput `json:"inputs,omitempty"`
 }
 
-// RemoteInput is one dep's input batch: a block to fetch from the driver,
+// RemoteInput is one dep's input batch: a block stored on the driver,
 // a nested in-chain operator, a fan-in concatenation, or nothing.
 type RemoteInput struct {
 	Kind   string        `json:"kind"` // "block" | "node" | "concat" | "empty"
@@ -253,7 +222,7 @@ type RemoteStageResult struct {
 	// Parts holds the stage root's materialized partitions, decoded.
 	Parts []Batch
 	// BytesShipped counts the encoded frames that crossed process
-	// boundaries for this stage (input blocks fetched plus results).
+	// boundaries for this stage (input blocks shipped plus results).
 	BytesShipped int64
 	// Workers is how many live worker processes ran the stage's tasks.
 	Workers int
@@ -263,7 +232,7 @@ type RemoteStageResult struct {
 // that implements it receives portable stages instead of having the driver
 // execute their tasks locally. PutBlock stores one encoded batch in the
 // backend's block store (spilling to disk over its budget) and returns the
-// id workers fetch it by. RunRemoteStage distributes the spec's tasks over
+// id tasks name it by. RunRemoteStage distributes the spec's tasks over
 // live workers, retrying tasks whose worker died mid-stage; ctx
 // cancellation must stop dispatching promptly. Error semantics the
 // executor relies on: *QuorumLostError and *BlockLostError become
@@ -405,13 +374,14 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 	return spec, owners, nil
 }
 
-// FetchFunc resolves a block id to its batch. The worker's implementation
-// fetches the encoded frame from the driver over the pool socket, with a
-// per-worker cache so shared blocks (broadcasts) cross the wire once.
+// FetchFunc resolves a block id to its batch. The pool worker's
+// implementation reads its block cache, which the driver fills by pushing
+// each block inline with the first task that needs it, so shared blocks
+// (broadcasts) cross the wire once per worker.
 type FetchFunc func(id uint64) (Batch, error)
 
 // RunRemoteTask evaluates one shipped task in the current process: resolve
-// each operator through the portable-op registry, fetch leaf blocks, and
+// each operator through the portable-op registry, resolve leaf blocks, and
 // run the chain bottom-up — exactly the unfused evaluation the driver
 // would perform. A panicking kernel is reported as an error, not a worker
 // death.

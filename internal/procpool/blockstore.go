@@ -11,11 +11,11 @@ import (
 	"matryoshka/internal/engine"
 )
 
-// blockStore holds the encoded batch frames workers fetch by id: shuffle
+// blockStore holds the encoded batch frames tasks read by id: shuffle
 // blocks, broadcast pins, materialized frontier partitions. Frames live in
 // memory up to a byte budget; past it the oldest frames spill to per-block
 // temp files (oldest-first: a stage's own inputs were put most recently
-// and are the ones about to be fetched). Ids are monotonic for the life of
+// and are the ones about to be shipped). Ids are monotonic for the life of
 // the store, so a worker-side cache can never alias two different blocks
 // across jobs even though clear() empties the store between them.
 //
@@ -92,7 +92,7 @@ func (s *blockStore) put(frame []byte) (uint64, error) {
 
 // get returns the encoded frame for id, reading it back from its spill
 // file if it left memory (without re-admitting it: a spilled block is
-// usually fetched once per worker and cached there). A spill file that is
+// usually pushed once per worker and cached there). A spill file that is
 // missing, truncated, or fails its checksum is reported as
 // engine.BlockLostError — a lost block for lineage to recompute — never
 // as data.

@@ -10,7 +10,7 @@ package procpool
 // same faults at the same points on every execution — the property the
 // proc-chaos soak's bit-identity assertion rests on.
 //
-// Injection points are data-plane only (msgTask, msgBlockData): the
+// Injection points are data-plane only (msgTask frames): the
 // control plane (hello, heartbeat, shutdown) stays clean so a chaos run
 // exercises task recovery, not pool bring-up.
 
@@ -35,9 +35,9 @@ type FaultPlan struct {
 	DelayEveryFrames int
 	Delay            time.Duration
 
-	// DropEveryFrames silently swallows every Nth data-plane frame: the
-	// peer never sees it, so only a task deadline or heartbeat timeout
-	// can unwedge the stage (0 disables).
+	// DropEveryFrames silently swallows every Nth data-plane frame (0
+	// disables). The worker gives the loss away by answering a later task
+	// first or missing an inline block; otherwise the task deadline fires.
 	DropEveryFrames int
 
 	// ResetEveryFrames tears every Nth data-plane frame mid-write and

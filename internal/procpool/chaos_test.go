@@ -131,42 +131,45 @@ func TestBlockStoreDetectsDamage(t *testing.T) {
 
 // TestCorruptSpillRecovery is the integrity-checked-spill acceptance
 // test: a 1-byte store budget spills every block, the fault plan flips a
-// seeded byte in every 17th spill file, and the workload must STILL
-// produce reference results — each corrupt read surfaces as a lost block,
-// lineage recomputes the producing stage, and EXPLAIN ANALYZE shows the
-// recovery. Fully deterministic: same seed, same spill sequence, same
-// flipped bytes.
+// seeded byte in (or cuts to half length) every 17th spill file, and the
+// workload must STILL produce reference results — the driver reads each
+// block as it pushes it to a worker, each damaged read surfaces right
+// there as a typed lost block, lineage recomputes the producing stage,
+// and EXPLAIN ANALYZE shows the recovery. Fully deterministic: same seed,
+// same spill sequence, same damage.
 func TestCorruptSpillRecovery(t *testing.T) {
-	rec := obs.NewRecorder()
-	pool := startPool(t, Config{
-		Workers:      2,
-		MemoryBudget: 1,
-		Faults:       FaultPlan{Seed: 7, CorruptSpillEvery: 17},
-		Events:       rec,
-	})
-	sp := tasks.ChaosSpec{Records: 1500, Keys: 32, Parts: 3, Rounds: 1}
+	for name, plan := range map[string]FaultPlan{
+		"corrupt":  {Seed: 7, CorruptSpillEvery: 17},
+		"truncate": {Seed: 7, TruncateSpillEvery: 17},
+	} {
+		t.Run(name, func(t *testing.T) {
+			rec := obs.NewRecorder()
+			pool := startPool(t, Config{Workers: 2, MemoryBudget: 1, Faults: plan, Events: rec})
+			sp := tasks.ChaosSpec{Records: 1500, Keys: 32, Parts: 3, Rounds: 1}
 
-	oldObs := tasks.Obs
-	tasks.Obs = rec
-	defer func() { tasks.Obs = oldObs }()
+			oldObs := tasks.Obs
+			tasks.Obs = rec
+			defer func() { tasks.Obs = oldObs }()
 
-	var out tasks.Outcome
-	withBackend(t, pool, func() { out = sp.Run(cluster.Config{}) })
-	if out.Err != nil {
-		t.Fatalf("run over corrupt spills: %v", out.Err)
-	}
-	if want := sp.Reference(); !reflect.DeepEqual(out.Value, want) {
-		t.Fatalf("value %+v != reference %+v", out.Value, want)
-	}
-	if got := pool.Stats().FetchFailures; got == 0 {
-		t.Fatal("no fetch failure recorded: corruption never bit or was served as data")
-	}
-	report := rec.Report()
-	if !strings.Contains(report, "corrupt-block") {
-		t.Fatalf("no corrupt-block fault event:\n%s", report)
-	}
-	if !strings.Contains(report, "Recovery") {
-		t.Fatalf("EXPLAIN ANALYZE shows no Recovery line:\n%s", report)
+			var out tasks.Outcome
+			withBackend(t, pool, func() { out = sp.Run(cluster.Config{}) })
+			if out.Err != nil {
+				t.Fatalf("run over damaged spills: %v", out.Err)
+			}
+			if want := sp.Reference(); !reflect.DeepEqual(out.Value, want) {
+				t.Fatalf("value %+v != reference %+v", out.Value, want)
+			}
+			if got := pool.Stats().FetchFailures; got == 0 {
+				t.Fatal("no fetch failure recorded: damage never bit or was served as data")
+			}
+			report := rec.Report()
+			if !strings.Contains(report, "corrupt-block") {
+				t.Fatalf("no corrupt-block fault event:\n%s", report)
+			}
+			if !strings.Contains(report, "Recovery") {
+				t.Fatalf("EXPLAIN ANALYZE shows no Recovery line:\n%s", report)
+			}
+		})
 	}
 }
 

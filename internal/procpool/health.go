@@ -1,11 +1,12 @@
 package procpool
 
-// Self-healing machinery: the monitor that turns silence into declared
-// death, the respawn path that refills a dead worker's slot with a fresh
-// process (exponential backoff per crash-looping slot, a pool-lifetime
-// budget so a pathological loop degrades to quorum failure instead of
-// forking forever), the quorum gate stage dispatch waits behind, and the
-// fault-injecting data-plane send. Worker lifecycle:
+// Self-healing machinery: the monitor that turns silence and overrun
+// tasks into declared death, the respawn path that refills a dead
+// worker's slot with a fresh process (exponential backoff per
+// crash-looping slot, a pool-lifetime budget so a pathological loop
+// degrades to quorum failure instead of forking forever), the quorum gate
+// stage dispatch waits behind, and the fault-injecting task send.
+// Worker lifecycle:
 //
 //	spawn -> live -> suspect (stale heartbeat) -> dead -> respawned
 //	                                  task kills it 3x -> task quarantined
@@ -34,23 +35,32 @@ const (
 	respawnHandshakeTimeout = 15 * time.Second
 )
 
-// monitor scans for workers whose heartbeat went stale. The scan interval
-// (Config.HeartbeatCheck) is independent of HeartbeatEvery: beats set the
-// staleness clock, the monitor only bounds detection latency.
+// monitor scans for workers whose heartbeat went stale and for running
+// tasks (a worker's oldest unanswered) that overran TaskDeadline; a
+// worker has no task-level cancel, so an overrun kills it. The scan
+// interval (Config.HeartbeatCheck) only bounds detection latency.
 func (p *Pool) monitor() {
 	t := time.NewTicker(p.cfg.heartbeatCheck())
 	defer t.Stop()
+	d := p.cfg.TaskDeadline
 	for {
 		select {
 		case <-p.stopCh:
 			return
 		case <-t.C:
 			for _, w := range p.snapshotWorkers() {
+				var reason error
 				w.mu.Lock()
-				stale := !w.dead && time.Since(w.lastBeat) > p.cfg.HeartbeatTimeout
+				switch {
+				case w.dead:
+				case time.Since(w.lastBeat) > p.cfg.HeartbeatTimeout:
+					reason = fmt.Errorf("procpool: worker %d heartbeat timed out (> %v)", w.idx, p.cfg.HeartbeatTimeout)
+				case d > 0 && len(w.inflight) > 0 && time.Since(w.headSince) > d:
+					reason = fmt.Errorf("procpool: worker %d: task %d exceeded its %v deadline; cancelled and requeued", w.idx, w.inflight[0].part, d)
+				}
 				w.mu.Unlock()
-				if stale {
-					p.markDead(w, fmt.Errorf("procpool: worker %d heartbeat timed out (> %v)", w.idx, p.cfg.HeartbeatTimeout))
+				if reason != nil {
+					p.markDead(w, reason)
 				}
 			}
 		}
@@ -125,7 +135,7 @@ func (p *Pool) handshake(conn net.Conn) (*workerProc, error) {
 		conn:     conn,
 		exited:   make(chan struct{}),
 		lastBeat: time.Now(),
-		pending:  map[uint64]chan taskReply{},
+		sent:     map[uint64]bool{},
 	}
 	if err := w.send(msgHelloAck, encodeHelloAck(w.idx, p.cfg.HeartbeatEvery)); err != nil {
 		return fail(ps, fmt.Errorf("procpool: worker %d ack: %w", w.idx, err))
@@ -275,11 +285,11 @@ func (p *Pool) waitQuorum(ctx context.Context, label string) ([]*workerProc, err
 	}
 }
 
-// sendData writes one data-plane frame (msgTask, msgBlockData), applying
-// the fault plan's frame faults. Control-plane frames (acks, shutdown,
-// cache clears) use w.send directly and stay clean: the chaos being
-// modeled is a flaky transport under load, not a corrupted protocol.
-func (p *Pool) sendData(w *workerProc, typ byte, body []byte) error {
+// sendData writes one task frame (caller holds w.wmu), applying the fault
+// plan's frame faults. Control-plane frames (acks, shutdown, cache
+// clears) stay clean: the chaos being modeled is a flaky transport under
+// load, not a corrupted protocol.
+func (p *Pool) sendData(w *workerProc, body []byte) error {
 	if p.cfg.Faults.Active() {
 		n := atomic.AddUint64(&p.frameSeq, 1)
 		switch p.cfg.Faults.frameFaultAt(n) {
@@ -287,20 +297,17 @@ func (p *Pool) sendData(w *workerProc, typ byte, body []byte) error {
 			time.Sleep(p.cfg.Faults.delay())
 		case frameDrop:
 			// Swallowed silently — exactly what a lost datagram looks
-			// like. The task deadline (or heartbeat monitor) unwedges
-			// whoever was waiting for this frame.
+			// like (see DropEveryFrames for how the loss surfaces).
 			return nil
 		case frameReset:
-			frame := appendFrame(nil, typ, body)
+			frame := appendFrame(nil, msgTask, body)
 			cut := p.cfg.Faults.tearPoint(n, len(frame))
-			w.wmu.Lock()
 			w.conn.Write(frame[:cut])
-			w.wmu.Unlock()
 			w.conn.Close()
 			return fmt.Errorf("procpool: injected connection reset to worker %d mid-frame (%d/%d bytes)", w.idx, cut, len(frame))
 		}
 	}
-	return w.send(typ, body)
+	return writeFrame(w.conn, msgTask, body)
 }
 
 // spillDamage builds the block store's post-spill damage hook from the

@@ -49,6 +49,22 @@ func init() {
 			return inputs[0]
 		}, nil
 	})
+	// htest.gen emits three ints derived from its part number: input
+	// data for the window tests, built the same way in either process.
+	engine.RegisterPortableOp("htest.gen", func([]byte) (engine.PortableCompute, error) {
+		return func(ctx *engine.Ctx, part int, inputs []engine.Batch) engine.Batch {
+			return engine.MapPartitionsCompute(func([]any) []int {
+				return []int{part * 10, part*10 + 1, part*10 + 2}
+			})(ctx, part, inputs)
+		}, nil
+	})
+	// htest.nap naps 50ms, so a window of them queues up on a worker.
+	engine.RegisterPortableOp("htest.nap", func([]byte) (engine.PortableCompute, error) {
+		return func(_ *engine.Ctx, _ int, inputs []engine.Batch) engine.Batch {
+			time.Sleep(50 * time.Millisecond)
+			return inputs[0]
+		}, nil
+	})
 	// htest.sleep naps 300ms, for cancellation to interrupt.
 	engine.RegisterPortableOp("htest.sleep", func([]byte) (engine.PortableCompute, error) {
 		return func(_ *engine.Ctx, _ int, inputs []engine.Batch) engine.Batch {
@@ -69,6 +85,152 @@ func opSpec(label, op string, arg []byte, parts int) *engine.RemoteStageSpec {
 		}})
 	}
 	return spec
+}
+
+// blockStage builds a parts-task stage of op over stored data: task p
+// reads the concatenation of its own block, a block shared by every task,
+// and — from task lateFrom on — a second shared block first needed there.
+// It returns the spec and the sequential reference: every task evaluated
+// in this process over the same blocks.
+func blockStage(t *testing.T, pool *Pool, op string, parts, lateFrom int) (*engine.RemoteStageSpec, []engine.Batch) {
+	t.Helper()
+	local := map[uint64]engine.Batch{}
+	fetch := func(id uint64) (engine.Batch, error) { return local[id], nil }
+	put := func(p int) uint64 {
+		b, err := engine.RunRemoteTask(&engine.RemoteTask{Part: p, Root: &engine.RemoteNode{
+			Op: "htest.gen", Part: p, Inputs: []engine.RemoteInput{{Kind: "empty"}}}}, fetch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := pool.PutBlock(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local[id] = b
+		return id
+	}
+	shared, late := put(1000), put(1001)
+	spec := &engine.RemoteStageSpec{Label: op + "-stage"}
+	for p := 0; p < parts; p++ {
+		ins := []engine.RemoteInput{{Kind: "block", Block: put(p)}, {Kind: "block", Block: shared}}
+		if p >= lateFrom {
+			ins = append(ins, engine.RemoteInput{Kind: "block", Block: late})
+		}
+		spec.Tasks = append(spec.Tasks, engine.RemoteTask{Part: p, Root: &engine.RemoteNode{
+			Op: op, Part: p, Inputs: []engine.RemoteInput{{Kind: "concat", Concat: ins}}}})
+	}
+	want := make([]engine.Batch, parts)
+	for i := range spec.Tasks {
+		b, err := engine.RunRemoteTask(&spec.Tasks[i], fetch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = b
+	}
+	return spec, want
+}
+
+// blamed returns the tasks st recorded a worker death against.
+func blamed(st *stageRun) map[int]int {
+	out := map[int]int{}
+	for ti, gens := range st.failedOn {
+		if len(gens) > 0 {
+			out[ti] = len(gens)
+		}
+	}
+	return out
+}
+
+// TestWindowBlamesOnlyOldest: a kill that lands while a worker holds a
+// window of tasks blames only its oldest unanswered task — the one it was
+// running — and requeues the rest blame-free. Re-dispatched to the
+// respawned worker, whose block cache starts empty, the tasks carry their
+// blocks again and the stage still equals the sequential reference.
+func TestWindowBlamesOnlyOldest(t *testing.T) {
+	// One worker, so the whole stage queues on it: the 6th dispatch lands
+	// while task 0 naps and tasks 1-5 wait behind it.
+	pool := startPool(t, Config{Workers: 1, KillAfterTasks: 6, RespawnBackoff: 10 * time.Millisecond})
+	first := pool.snapshotWorkers()[0].gen
+	spec, want := blockStage(t, pool, "htest.nap", 12, 12)
+	st := newStageRun(spec)
+	if err := pool.runStage(context.Background(), st); err != nil {
+		t.Fatalf("stage with a mid-window kill: %v", err)
+	}
+	if got := pool.Stats().MachineCrashes; got != 1 {
+		t.Fatalf("MachineCrashes = %d, want 1", got)
+	}
+	// The kill lands right after the 6th send, while task 0 naps: unless
+	// the driver stalled past the nap, task 0 is the oldest unanswered.
+	got := blamed(st)
+	for ti, n := range got {
+		if len(got) != 1 || n != 1 || ti >= 6 || !st.failedOn[ti][first] {
+			t.Fatalf("blamed tasks %v (task %d on %v), want one of the 6 dispatched tasks, once, on the first incarnation %d", got, ti, st.failedOn[ti], first)
+		}
+	}
+	if len(got) != 1 {
+		t.Fatalf("blamed tasks %v, want exactly one", got)
+	}
+	if !reflect.DeepEqual(st.parts, want) {
+		t.Fatalf("parts differ from the sequential reference:\n got %v\nwant %v", st.parts, want)
+	}
+}
+
+// TestDroppedFrameBlamesDroppedTask: a task frame lost on the wire must
+// take the blame itself, with the rest of the window requeued blame-free,
+// whichever way the worker gives the loss away — by answering a younger
+// task first, or by exiting on a block that only the lost frame carried.
+// Neither needs the task deadline, which is set only as a backstop.
+func TestDroppedFrameBlamesDroppedTask(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		lateFrom int // first task reading the late block
+	}{
+		{"younger reply", 8},
+		{"missing inline block", 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Frame 7 is task 6's: it never reaches the worker. The
+			// requeued tasks 6 and 7 go out as frames 9 and 10.
+			const deadline = 10 * time.Second
+			pool := startPool(t, Config{Workers: 1, TaskDeadline: deadline, RespawnBackoff: 10 * time.Millisecond,
+				Faults: FaultPlan{DropEveryFrames: 7}})
+			spec, want := blockStage(t, pool, "htest.ok", 8, tc.lateFrom)
+			st := newStageRun(spec)
+			start := time.Now()
+			if err := pool.runStage(context.Background(), st); err != nil {
+				t.Fatalf("stage with a dropped frame: %v", err)
+			}
+			if took := time.Since(start); took >= deadline/2 {
+				t.Fatalf("stage took %v: the loss went unnoticed until the deadline", took)
+			}
+			if got := blamed(st); !reflect.DeepEqual(got, map[int]int{6: 1}) {
+				t.Fatalf("blamed tasks %v, want only the dropped task 6", got)
+			}
+			if !reflect.DeepEqual(st.parts, want) {
+				t.Fatalf("parts differ from the sequential reference:\n got %v\nwant %v", st.parts, want)
+			}
+		})
+	}
+}
+
+// TestRunTaskRefusesUnsentBlock: a worker never computes over a block it
+// was not sent. runTask reports a protocol break (ok=false, the worker
+// exits) instead of evaluating the task over a missing input; with the
+// block inline the same task runs.
+func TestRunTaskRefusesUnsentBlock(t *testing.T) {
+	task := &engine.RemoteTask{Root: &engine.RemoteNode{Op: "htest.ok",
+		Inputs: []engine.RemoteInput{{Kind: "block", Block: 9}}}}
+	if _, ok := runTask(1, nil, task, map[uint64]engine.Batch{}); ok {
+		t.Fatal("ran a task over a block that was never sent")
+	}
+	frame, err := engine.EncodeBatch(nil, &engine.Vec[any]{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, ok := runTask(2, []inlineBlock{{id: 9, frame: frame}}, task, map[uint64]engine.Batch{})
+	if _, done, _, err := parseTagged(out); !ok || !done || err != nil {
+		t.Fatalf("task with its block inline: ok=%v done=%v err=%v", ok, done, err)
+	}
 }
 
 // waitLive polls until the pool reports at least n live workers.
@@ -136,22 +298,30 @@ func TestQuorumLostFailsFast(t *testing.T) {
 }
 
 // TestPoisonTaskQuarantine dispatches a task that exits the worker
-// process, every time. After it has destroyed quarantineAfter distinct
-// worker incarnations the stage must fail with engine.PoisonTaskError
-// naming the operator — and the pool must stay live for the next job.
+// process, every time, at the head of a full window of healthy tasks.
+// After it has destroyed quarantineAfter distinct worker incarnations the
+// stage must fail with engine.PoisonTaskError naming the operator — its
+// window neighbours never blamed — and the pool must stay live for the
+// next job.
 func TestPoisonTaskQuarantine(t *testing.T) {
 	rec := obs.NewRecorder()
 	pool := startPool(t, Config{Workers: 2, RespawnBackoff: 10 * time.Millisecond, Events: rec})
-	_, err := pool.RunRemoteStage(context.Background(), opSpec("poison-stage", "htest.exit", nil, 1))
+	spec := opSpec("poison-stage", "htest.ok", nil, 2*(dispatchWindow+4))
+	spec.Tasks[0].Root.Op = "htest.exit"
+	st := newStageRun(spec)
+	err := pool.runStage(context.Background(), st)
 	var pe *engine.PoisonTaskError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %v, want PoisonTaskError", err)
 	}
-	if pe.Workers != quarantineAfter {
-		t.Fatalf("quarantined after %d workers, want %d", pe.Workers, quarantineAfter)
+	if pe.Workers != quarantineAfter || pe.Part != 0 {
+		t.Fatalf("quarantined task %d after %d workers, want task 0 after %d", pe.Part, pe.Workers, quarantineAfter)
 	}
 	if !strings.Contains(err.Error(), "htest.exit") {
 		t.Fatalf("quarantine error does not name the operator chain: %v", err)
+	}
+	if got := blamed(st); !reflect.DeepEqual(got, map[int]int{0: quarantineAfter}) {
+		t.Fatalf("blamed tasks %v, want only the poison task 0", got)
 	}
 	if pool.Quarantines() != 1 {
 		t.Fatalf("Quarantines() = %d, want 1", pool.Quarantines())

@@ -1,6 +1,7 @@
 package procpool
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,14 +36,15 @@ type Config struct {
 	HeartbeatEvery   time.Duration
 	HeartbeatTimeout time.Duration
 	// HeartbeatCheck is how often the driver-side monitor scans for stale
-	// workers (default HeartbeatTimeout/4, clamped to [10ms, 1s]).
-	// Staleness itself is governed by HeartbeatTimeout; this interval
-	// only bounds detection latency, so it deliberately does not track
-	// HeartbeatEvery — a short beat period must not make the driver poll
-	// needlessly hot.
+	// workers and overrun tasks (default min(HeartbeatTimeout,
+	// TaskDeadline)/4, clamped to [10ms, 1s]). It only bounds detection
+	// latency, so it deliberately does not track HeartbeatEvery — a short
+	// beat period must not make the driver poll needlessly hot.
 	HeartbeatCheck time.Duration
 	// TaskDeadline bounds how long one dispatched task may run (0 = no
-	// deadline). A task that exceeds it on a live, heartbeating worker is
+	// deadline). Its clock starts when the task becomes the oldest
+	// unanswered task on its worker — when the worker starts running it.
+	// A task that exceeds it on a live, heartbeating worker is
 	// cancelled — the worker is killed and respawned, the task requeued —
 	// so a wedged compute cannot stall a stage forever.
 	TaskDeadline time.Duration
@@ -125,6 +128,9 @@ func (c *Config) heartbeatCheck() time.Duration {
 		return c.HeartbeatCheck
 	}
 	d := c.HeartbeatTimeout / 4
+	if c.TaskDeadline > 0 {
+		d = min(d, c.TaskDeadline/4)
+	}
 	if d < 10*time.Millisecond {
 		d = 10 * time.Millisecond
 	}
@@ -140,14 +146,26 @@ func (c *Config) heartbeatCheck() time.Duration {
 // of the task serially destroying the fleet.
 const quarantineAfter = 3
 
+// dispatchWindow is how many tasks each worker holds in flight, so it is
+// never idle waiting for the driver to see a reply and send the next.
+const dispatchWindow = 16
+
 // taskReply is what a dispatched task resolves to: a batch frame or an
-// error message. died distinguishes a worker death while the task was in
-// flight (synthesized by markDead; the task takes the blame) from an error
-// the worker itself reported (deterministic compute failure).
+// error message. died marks a worker death while the task was in flight
+// (synthesized by markDead; blamed on the oldest, the one running), as
+// opposed to an error the worker reported (deterministic compute failure).
 type taskReply struct {
 	payload []byte
 	errMsg  string
 	died    bool
+	blamed  bool
+}
+
+// pendingTask is one sent, unanswered task on a worker.
+type pendingTask struct {
+	id       uint64
+	ti, part int            // index in its stage spec, output partition
+	ch       chan taskReply // buffered: the single reply never blocks
 }
 
 // workerProc is the driver's handle on one worker incarnation. A respawn
@@ -160,14 +178,15 @@ type workerProc struct {
 	pid    int
 	cmd    *exec.Cmd
 	conn   net.Conn
-	wmu    sync.Mutex    // serializes frame writes to conn
-	exited chan struct{} // closed once cmd.Wait returned (process reaped)
+	wmu    sync.Mutex      // serializes frame writes to conn, guards sent
+	sent   map[uint64]bool // blocks pushed since the worker's cache was cleared
+	exited chan struct{}   // closed once cmd.Wait returned (process reaped)
 
-	mu       sync.Mutex
-	dead     bool
-	deadErr  error
-	lastBeat time.Time
-	pending  map[uint64]chan taskReply // in-flight task id -> reply
+	mu        sync.Mutex
+	dead      bool
+	lastBeat  time.Time
+	inflight  []pendingTask // sent, unanswered tasks, oldest first
+	headSince time.Time     // when inflight[0] became the oldest
 }
 
 func (w *workerProc) send(typ byte, body []byte) error {
@@ -221,8 +240,7 @@ type Pool struct {
 	store *blockStore
 	start time.Time
 
-	stopOnce sync.Once
-	stopCh   chan struct{}
+	stopCh chan struct{} // closed by Close
 
 	taskSeq   uint64 // atomic: wire task ids
 	genSeq    uint64 // atomic: worker incarnation ids
@@ -231,7 +249,6 @@ type Pool struct {
 	shipped   int64  // atomic: bytes served to + returned by workers
 	remoteSt  int64  // atomic: remote stages completed
 	remoteTk  int64  // atomic: remote tasks completed
-	localPut  int64  // atomic: blocks stored via PutBlock
 
 	mu          sync.Mutex
 	closed      bool
@@ -246,7 +263,6 @@ type Pool struct {
 	stats       cluster.Stats
 	clockOffset float64
 	lastClock   float64
-	pinned      int64
 	outputs     map[cluster.OutputID]*poolOutput
 	nextOut     cluster.OutputID
 	rrOut       int // round-robin cursor for RegisterOutput placement
@@ -330,17 +346,12 @@ func (p *Pool) Close() {
 		p.mu.Unlock()
 		return
 	}
-	p.closed = true
-	workers := make([]*workerProc, 0, len(p.workerList))
-	for _, w := range p.workerList {
-		if w != nil {
-			workers = append(workers, w)
-		}
-	}
+	p.closed = true // from here on, no handshake installs a worker
 	spawning := p.spawning
 	p.spawning = map[int]*pendingSpawn{}
 	p.mu.Unlock()
-	p.stopOnce.Do(func() { close(p.stopCh) })
+	workers := p.snapshotWorkers()
+	close(p.stopCh)
 	p.ln.Close()
 	// Processes that never completed the handshake just die (and are
 	// reaped — they have no waitWorker goroutine).
@@ -350,13 +361,15 @@ func (p *Pool) Close() {
 		}
 		go ps.cmd.Wait()
 	}
-	// Graceful drain: ask, then wait bounded.
+	// Graceful drain: ask, then wait bounded. The write deadline also
+	// unblocks a dispatch stuck writing to a worker that stopped reading.
+	deadline := time.Now().Add(p.cfg.DrainTimeout)
 	for _, w := range workers {
 		if !w.isDead() {
+			w.conn.SetWriteDeadline(deadline)
 			w.send(msgShutdown, nil)
 		}
 	}
-	deadline := time.Now().Add(p.cfg.DrainTimeout)
 	for _, w := range workers {
 		select {
 		case <-w.exited:
@@ -393,50 +406,32 @@ func (p *Pool) readLoop(w *workerProc) {
 		switch typ {
 		case msgHeartbeat:
 			// lastBeat above is the whole message.
-		case msgFetchBlock:
-			id, perr := parseBlockReq(body)
-			if perr != nil {
-				p.markDead(w, fmt.Errorf("procpool: worker %d sent a bad fetch: %v", w.idx, perr))
-				return
-			}
-			data, gerr := p.store.get(id)
-			var out []byte
-			if gerr != nil {
-				var bl *engine.BlockLostError
-				if errors.As(gerr, &bl) {
-					// Integrity failure on a spilled block: count it like
-					// a failed shuffle fetch and let the error string
-					// cross the wire — the driver re-types it via
-					// ParseBlockLost and lineage recomputes the block.
-					p.mu.Lock()
-					p.stats.FetchFailures++
-					p.mu.Unlock()
-					p.event("corrupt-block", w.idx, gerr.Error())
-				}
-				out = encodeTagged(id, false, []byte(gerr.Error()))
-			} else {
-				out = encodeTagged(id, true, data)
-				atomic.AddInt64(&p.shipped, int64(len(data)))
-			}
-			if p.sendData(w, msgBlockData, out) != nil {
-				return // the write error side will mark it dead via next read
-			}
 		case msgTaskResult:
 			id, ok, rest, perr := parseTagged(body)
 			if perr != nil {
 				p.markDead(w, fmt.Errorf("procpool: worker %d sent a bad result: %v", w.idx, perr))
 				return
 			}
+			// Replies come in send order. One for a younger task means
+			// the oldest's frame was lost: kill the worker, so the lost
+			// task takes the blame. Unknown ids were abandoned by a cancel.
 			w.mu.Lock()
-			ch := w.pending[id]
-			delete(w.pending, id)
+			k := slices.IndexFunc(w.inflight, func(t pendingTask) bool { return t.id == id })
+			var t pendingTask
+			if k == 0 {
+				t = w.inflight[0]
+				w.inflight = w.inflight[1:]
+				w.headSince = time.Now()
+			}
 			w.mu.Unlock()
-			if ch != nil {
-				if ok {
-					ch <- taskReply{payload: rest}
-				} else {
-					ch <- taskReply{errMsg: string(rest)}
-				}
+			switch {
+			case k > 0:
+				p.markDead(w, fmt.Errorf("procpool: worker %d answered a task sent after one it never received", w.idx))
+				return
+			case k == 0 && ok:
+				t.ch <- taskReply{payload: rest}
+			case k == 0:
+				t.ch <- taskReply{errMsg: string(rest)}
 			}
 		}
 	}
@@ -449,11 +444,12 @@ func (p *Pool) waitWorker(w *workerProc) {
 	close(w.exited)
 }
 
-// markDead records a worker crash exactly once: fail its in-flight tasks,
-// cut the connection, make sure the process is gone, mark every shuffle
-// partition registered on it lost — the state CheckFetch turns into the
-// FetchFailedError lineage recovery rewinds from — and schedule a
-// replacement worker for the slot (health.go).
+// markDead records a worker crash exactly once: fail its in-flight tasks
+// (the oldest, which was running, takes the blame), cut the connection,
+// make sure the process is gone, mark every shuffle partition registered
+// on it lost — the state CheckFetch turns into the FetchFailedError
+// lineage recovery rewinds from — and schedule a replacement worker for
+// the slot (health.go).
 func (p *Pool) markDead(w *workerProc, reason error) {
 	w.mu.Lock()
 	if w.dead {
@@ -461,19 +457,14 @@ func (p *Pool) markDead(w *workerProc, reason error) {
 		return
 	}
 	w.dead = true
-	w.deadErr = reason
-	pend := w.pending
-	w.pending = map[uint64]chan taskReply{}
+	pend := w.inflight
+	w.inflight = nil
 	w.mu.Unlock()
 
 	w.conn.Close()
 	if w.cmd.Process != nil {
 		w.cmd.Process.Kill()
 	}
-	for _, ch := range pend {
-		ch <- taskReply{errMsg: reason.Error(), died: true} // buffered, never blocks
-	}
-
 	p.mu.Lock()
 	closed := p.closed
 	if !closed {
@@ -492,6 +483,11 @@ func (p *Pool) markDead(w *workerProc, reason error) {
 	p.mu.Unlock()
 	if !closed {
 		p.event("crash", w.idx, reason.Error())
+	}
+	// Replies go out last, so a dispatch that sees its task died also
+	// sees the crash recorded: counted, outputs lost, respawn booked.
+	for i, t := range pend {
+		t.ch <- taskReply{died: true, blamed: i == 0}
 	}
 }
 
@@ -565,37 +561,43 @@ func (p *Pool) Quarantines() int {
 
 // ---- engine.RemoteRunner ----
 
-// PutBlock frames b with the batch codec and stores it for workers to
-// fetch (spilling to disk over the store's budget).
+// PutBlock frames b with the batch codec and stores it for dispatch to
+// push to workers (spilling to disk over the store's budget).
 func (p *Pool) PutBlock(b engine.Batch) (uint64, error) {
 	frame, err := engine.EncodeBatch(nil, b)
 	if err != nil {
 		return 0, err
 	}
-	atomic.AddInt64(&p.localPut, 1)
 	return p.store.put(frame)
 }
 
-// taskVerdict classifies one runTaskOn outcome for the dispatch loop.
-type taskVerdict int
+// errWorkerDead reports a dispatch to a worker that had already died: the
+// task never left the driver and requeues blame-free.
+var errWorkerDead = errors.New("procpool: worker is dead")
 
-const (
-	taskOK            taskVerdict = iota
-	taskFailed                    // worker-reported deterministic error: fails the stage
-	taskDied                      // worker died mid-task (crash or deadline): blame + requeue
-	taskNotDispatched             // worker was already dead: requeue blame-free
-	taskCancelled                 // submission context cancelled
-)
+// stageRun is one stage's results and blame record. A round hands each
+// task to one worker, so dispatch goroutines write disjoint entries.
+type stageRun struct {
+	spec     *engine.RemoteStageSpec
+	parts    []engine.Batch
+	failedOn []map[uint64]bool // task -> worker incarnations blamed for its death
+	ranOn    map[int]bool      // worker slots that completed tasks
+}
+
+func newStageRun(spec *engine.RemoteStageSpec) *stageRun {
+	n := len(spec.Tasks)
+	return &stageRun{spec: spec, parts: make([]engine.Batch, n), failedOn: make([]map[uint64]bool, n), ranOn: map[int]bool{}}
+}
 
 // RunRemoteStage distributes the spec's tasks round-robin over live
-// workers and collects the decoded result partitions. A task whose worker
-// dies mid-flight takes the blame and is re-dispatched on a survivor —
-// until quarantineAfter distinct worker incarnations died under it, at
-// which point it is quarantined (engine.PoisonTaskError; the pool stays
-// live). A dead worker's untouched share requeues blame-free. When live
-// workers fall below the quorum the stage waits bounded for respawn, then
-// fails with engine.QuorumLostError. Ctx cancellation stops dispatching
-// queued tasks and drops the pending replies.
+// workers, dispatchWindow in flight per worker, and collects the decoded
+// result partitions. A worker death blames only its oldest unanswered
+// task, which is re-dispatched on a survivor — until quarantineAfter
+// distinct incarnations died under it (engine.PoisonTaskError; the pool
+// stays live). The rest of the dead worker's tasks requeue blame-free.
+// Below the quorum the stage waits bounded for respawn, then fails with
+// engine.QuorumLostError. Ctx cancellation stops dispatching and drops
+// the pending replies.
 func (p *Pool) RunRemoteStage(ctx context.Context, spec *engine.RemoteStageSpec) (*engine.RemoteStageResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -604,145 +606,194 @@ func (p *Pool) RunRemoteStage(ctx context.Context, spec *engine.RemoteStageSpec)
 		return &engine.RemoteStageResult{}, nil
 	}
 	shippedBefore := atomic.LoadInt64(&p.shipped)
-	parts := make([]engine.Batch, len(spec.Tasks))
-	failedOn := make([]map[uint64]bool, len(spec.Tasks)) // task -> worker gens it died on
-	queue := make([]int, len(spec.Tasks))
-	for i := range queue {
-		queue[i] = i
-	}
-	var resMu sync.Mutex
-	ranOn := map[int]bool{}
-	for len(queue) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		live, err := p.waitQuorum(ctx, spec.Label)
-		if err != nil {
-			return nil, err
-		}
-		assign := make([][]int, len(live))
-		for k, ti := range queue {
-			assign[k%len(live)] = append(assign[k%len(live)], ti)
-		}
-		var requeue []int
-		var permErr error
-		setPermErr := func(err error) {
-			if permErr == nil {
-				permErr = err
-			}
-		}
-		var wg sync.WaitGroup
-		for wi := range live {
-			if len(assign[wi]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(w *workerProc, list []int) {
-				defer wg.Done()
-				for li, ti := range list {
-					payload, verdict, err := p.runTaskOn(ctx, w, &spec.Tasks[ti])
-					switch verdict {
-					case taskOK:
-						b, _, derr := engine.DecodeBatch(payload)
-						if derr != nil {
-							resMu.Lock()
-							setPermErr(fmt.Errorf("procpool: stage %q task %d result: %v", spec.Label, spec.Tasks[ti].Part, derr))
-							resMu.Unlock()
-							return
-						}
-						atomic.AddInt64(&p.shipped, int64(len(payload)))
-						resMu.Lock()
-						parts[ti] = b
-						ranOn[w.idx] = true
-						resMu.Unlock()
-					case taskDied:
-						// Blame exactly the in-flight task; this worker's
-						// untouched share requeues without penalty.
-						resMu.Lock()
-						if failedOn[ti] == nil {
-							failedOn[ti] = map[uint64]bool{}
-						}
-						failedOn[ti][w.gen] = true
-						if len(failedOn[ti]) >= quarantineAfter {
-							setPermErr(&engine.PoisonTaskError{
-								Stage:   spec.Label,
-								Part:    spec.Tasks[ti].Part,
-								Ops:     spec.Tasks[ti].OpChain(),
-								Workers: len(failedOn[ti]),
-							})
-						} else {
-							requeue = append(requeue, ti)
-						}
-						requeue = append(requeue, list[li+1:]...)
-						resMu.Unlock()
-						return
-					case taskNotDispatched:
-						resMu.Lock()
-						requeue = append(requeue, list[li:]...)
-						resMu.Unlock()
-						return
-					case taskCancelled:
-						resMu.Lock()
-						setPermErr(err)
-						resMu.Unlock()
-						return
-					default: // taskFailed
-						resMu.Lock()
-						if id, reason, ok := engine.ParseBlockLost(err.Error()); ok {
-							setPermErr(&engine.BlockLostError{Block: id, Reason: reason})
-						} else {
-							setPermErr(fmt.Errorf("procpool: stage %q task %d: %v", spec.Label, spec.Tasks[ti].Part, err))
-						}
-						resMu.Unlock()
-						return
-					}
-				}
-			}(live[wi], assign[wi])
-		}
-		wg.Wait()
-		if permErr != nil {
-			var pe *engine.PoisonTaskError
-			if errors.As(permErr, &pe) {
-				p.noteQuarantine(pe)
-			}
-			return nil, permErr
-		}
-		queue = requeue
+	st := newStageRun(spec)
+	if err := p.runStage(ctx, st); err != nil {
+		return nil, err
 	}
 	atomic.AddInt64(&p.remoteSt, 1)
 	atomic.AddInt64(&p.remoteTk, int64(len(spec.Tasks)))
 	return &engine.RemoteStageResult{
-		Parts:        parts,
+		Parts:        st.parts,
 		BytesShipped: atomic.LoadInt64(&p.shipped) - shippedBefore,
-		Workers:      len(ranOn),
+		Workers:      len(st.ranOn),
 	}, nil
 }
 
-// runTaskOn ships one task to w and waits for its reply, the worker's
-// death (which resolves the reply with died=true), the task deadline, or
-// ctx cancellation. The kill hooks (KillAfterTasks, FaultPlan) fire
-// synchronously here so the crash — and the lost-output bookkeeping — is
-// ordered before any later stage of the run, making recovery tests
-// deterministic.
-func (p *Pool) runTaskOn(ctx context.Context, w *workerProc, t *engine.RemoteTask) ([]byte, taskVerdict, error) {
-	id := atomic.AddUint64(&p.taskSeq, 1)
-	body, err := encodeTask(id, t)
-	if err != nil {
-		return nil, taskFailed, err
+// dispatched is what one worker's dispatch loop hands back to its round.
+type dispatched struct {
+	requeue []int
+	ran     bool
+	err     error
+}
+
+// runStage dispatches in rounds: each deals the queue round-robin over
+// the live workers; what dead workers hand back forms the next round.
+func (p *Pool) runStage(ctx context.Context, st *stageRun) error {
+	queue := make([]int, len(st.spec.Tasks))
+	for i := range queue {
+		queue[i] = i
 	}
-	ch := make(chan taskReply, 1)
+	for len(queue) > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		live, err := p.waitQuorum(ctx, st.spec.Label)
+		if err != nil {
+			return err
+		}
+		outs := make([]dispatched, len(live))
+		var wg sync.WaitGroup
+		for wi, w := range live {
+			var list []int
+			for k := wi; k < len(queue); k += len(live) {
+				list = append(list, queue[k])
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				outs[wi] = p.dispatch(ctx, w, st, list)
+			}()
+		}
+		wg.Wait()
+		queue = nil
+		for wi, o := range outs {
+			var pe *engine.PoisonTaskError
+			if errors.As(o.err, &pe) {
+				p.noteQuarantine(pe)
+			}
+			if err == nil {
+				err = o.err
+			}
+			if o.ran {
+				st.ranOn[live[wi].idx] = true
+			}
+			queue = append(queue, o.requeue...)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// dispatch runs list on w, dispatchWindow tasks in flight, taking replies
+// oldest first — the order w answers in. Once w dies it sends no more;
+// the in-flight tasks resolve as died and go back with the unsent rest.
+func (p *Pool) dispatch(ctx context.Context, w *workerProc, st *stageRun, list []int) (out dispatched) {
+	var window []pendingTask
+	next, alive := 0, true
+	for {
+		for alive && out.err == nil && next < len(list) && len(window) < dispatchWindow {
+			t, err := p.pushTask(w, &st.spec.Tasks[list[next]], list[next])
+			if errors.Is(err, errWorkerDead) {
+				alive = false
+			} else if err != nil {
+				out.err = err
+			} else {
+				window = append(window, t)
+				next++
+			}
+		}
+		if len(window) == 0 {
+			break
+		}
+		var r taskReply
+		select {
+		case r = <-window[0].ch:
+		case <-ctx.Done():
+			// The job is cancelled: drop the pending replies — nobody
+			// wants them — and leave the worker alone (it finishes or
+			// dies on its own).
+			w.mu.Lock()
+			w.inflight = nil
+			w.mu.Unlock()
+			return dispatched{err: ctx.Err()}
+		}
+		ti, task := window[0].ti, &st.spec.Tasks[window[0].ti]
+		window = window[1:]
+		alive = alive && !r.died
+		switch {
+		case r.blamed:
+			if st.failedOn[ti] == nil {
+				st.failedOn[ti] = map[uint64]bool{}
+			}
+			st.failedOn[ti][w.gen] = true
+			if n := len(st.failedOn[ti]); n < quarantineAfter {
+				out.requeue = append(out.requeue, ti)
+			} else if out.err == nil {
+				out.err = &engine.PoisonTaskError{Stage: st.spec.Label, Part: task.Part, Ops: task.OpChain(), Workers: n}
+			}
+		case r.died:
+			out.requeue = append(out.requeue, ti)
+		case r.errMsg != "":
+			out.err = cmp.Or(out.err, fmt.Errorf("procpool: stage %q task %d: %s", st.spec.Label, task.Part, r.errMsg))
+		default:
+			b, _, err := engine.DecodeBatch(r.payload)
+			if err != nil {
+				out.err = cmp.Or(out.err, fmt.Errorf("procpool: stage %q task %d result: %v", st.spec.Label, task.Part, err))
+			}
+			atomic.AddInt64(&p.shipped, int64(len(r.payload)))
+			st.parts[ti], out.ran = b, true
+		}
+	}
+	if !alive {
+		out.requeue = append(out.requeue, list[next:]...)
+	}
+	return out
+}
+
+// pushTask sends task ti to w with every input block w has not been sent
+// yet inline, and queues it as in flight. A block the store cannot serve
+// intact fails the dispatch with *engine.BlockLostError, for lineage to
+// recompute. The kill hooks (KillAfterTasks, FaultPlan) fire here on the
+// lifetime dispatch counter, so the crash — and the lost-output
+// bookkeeping — is ordered before any later stage of the run.
+func (p *Pool) pushTask(w *workerProc, t *engine.RemoteTask, ti int) (pendingTask, error) {
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	var blocks []inlineBlock
+	var blockBytes int64
+	for _, id := range taskBlocks(nil, t) {
+		if w.sent[id] || slices.ContainsFunc(blocks, func(b inlineBlock) bool { return b.id == id }) {
+			continue
+		}
+		frame, err := p.store.get(id)
+		var lost *engine.BlockLostError
+		if errors.As(err, &lost) {
+			p.mu.Lock()
+			p.stats.FetchFailures++
+			p.mu.Unlock()
+			p.event("corrupt-block", w.idx, err.Error())
+		}
+		if err != nil {
+			return pendingTask{}, err
+		}
+		blocks = append(blocks, inlineBlock{id, frame})
+		blockBytes += int64(len(frame))
+	}
+	pt := pendingTask{id: atomic.AddUint64(&p.taskSeq, 1), ti: ti, part: t.Part, ch: make(chan taskReply, 1)}
+	body, err := encodeTask(pt.id, blocks, t)
+	if err != nil {
+		return pendingTask{}, err
+	}
 	w.mu.Lock()
 	if w.dead {
-		err := w.deadErr
 		w.mu.Unlock()
-		return nil, taskNotDispatched, err
+		return pendingTask{}, errWorkerDead
 	}
-	w.pending[id] = ch
+	if len(w.inflight) == 0 {
+		w.headSince = time.Now()
+	}
+	w.inflight = append(w.inflight, pt)
 	w.mu.Unlock()
-	if err := p.sendData(w, msgTask, body); err != nil {
-		p.markDead(w, fmt.Errorf("procpool: worker %d send failed: %v", w.idx, err))
-		return nil, taskNotDispatched, err
+	for _, b := range blocks {
+		w.sent[b.id] = true
 	}
+	if err := p.sendData(w, body); err != nil {
+		p.markDead(w, fmt.Errorf("procpool: worker %d send failed: %v", w.idx, err))
+		return pt, nil // resolved by markDead
+	}
+	atomic.AddInt64(&p.shipped, blockBytes)
 	n := atomic.AddInt64(&p.nDispatch, 1)
 	if k := p.cfg.KillAfterTasks; k > 0 && n == int64(k) {
 		p.markDead(w, fmt.Errorf("procpool: worker %d killed by test hook after task %d", w.idx, k))
@@ -750,39 +801,7 @@ func (p *Pool) runTaskOn(ctx context.Context, w *workerProc, t *engine.RemoteTas
 	if p.cfg.Faults.killsAt(uint64(n)) {
 		p.markDead(w, fmt.Errorf("procpool: worker %d killed by fault plan at dispatch %d", w.idx, n))
 	}
-	var deadlineC <-chan time.Time
-	if p.cfg.TaskDeadline > 0 {
-		tm := time.NewTimer(p.cfg.TaskDeadline)
-		defer tm.Stop()
-		deadlineC = tm.C
-	}
-	select {
-	case r := <-ch:
-		switch {
-		case r.errMsg == "":
-			return r.payload, taskOK, nil
-		case r.died:
-			return nil, taskDied, fmt.Errorf("%s", r.errMsg)
-		default:
-			return nil, taskFailed, fmt.Errorf("%s", r.errMsg)
-		}
-	case <-ctx.Done():
-		// The job is cancelled: drop the pending reply — nobody wants it
-		// — and leave the worker alone (it finishes or dies on its own).
-		w.mu.Lock()
-		delete(w.pending, id)
-		w.mu.Unlock()
-		return nil, taskCancelled, ctx.Err()
-	case <-deadlineC:
-		// The worker heartbeats but the task overran its deadline. A
-		// single-threaded worker has no task-level cancel, so the only
-		// reliable one is killing the process: respawn replaces it, the
-		// task takes the blame (and is quarantined if it keeps doing
-		// this), the worker's other queued tasks requeue blame-free.
-		reason := fmt.Errorf("procpool: worker %d: task %d exceeded its %v deadline; cancelled and requeued", w.idx, t.Part, p.cfg.TaskDeadline)
-		p.markDead(w, reason)
-		return nil, taskDied, reason
-	}
+	return pt, nil
 }
 
 // ---- engine.Backend ----
@@ -815,32 +834,28 @@ func (p *Pool) RunStageReport(tasks []cluster.Task) (cluster.StageReport, error)
 	}, nil
 }
 
-// Broadcast pins bytes for the current job (bookkeeping only: actual
-// broadcast batches ship as ordinary blocks, cached per worker).
-func (p *Pool) Broadcast(bytes int64) error {
+// Broadcast counts a broadcast. The pool pins nothing: broadcast batches
+// ship as ordinary blocks, cached per worker until ReleaseBroadcasts.
+func (p *Pool) Broadcast(int64) error {
 	p.mu.Lock()
 	p.stats.Broadcasts++
-	p.pinned += bytes
 	p.mu.Unlock()
 	return nil
 }
 
-// Unpin releases part of the pinned broadcast bytes early.
-func (p *Pool) Unpin(bytes int64) {
-	p.mu.Lock()
-	p.pinned -= bytes
-	p.mu.Unlock()
-}
+// Unpin is a no-op: the pool holds no broadcast memory budget.
+func (p *Pool) Unpin(int64) {}
 
 // ReleaseBroadcasts is the end-of-job hook: the job's blocks are dead, so
-// the store empties and workers drop their caches.
+// the store empties, workers drop their caches, and the driver forgets
+// what it pushed to them.
 func (p *Pool) ReleaseBroadcasts() {
-	p.mu.Lock()
-	p.pinned = 0
-	p.mu.Unlock()
 	p.store.clear()
 	for _, w := range p.liveWorkers() {
-		w.send(msgClearCache, nil)
+		w.wmu.Lock()
+		clear(w.sent)
+		writeFrame(w.conn, msgClearCache, nil)
+		w.wmu.Unlock()
 	}
 }
 
@@ -874,20 +889,14 @@ func (p *Pool) Stats() cluster.Stats {
 func (p *Pool) RegisterOutput(parts int) cluster.OutputID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	liveIdx := []int{}
-	for _, w := range p.workerList {
-		if w != nil && !w.isDead() {
-			liveIdx = append(liveIdx, w.idx)
-		}
-	}
+	live := p.liveLocked()
 	p.nextOut++
 	id := p.nextOut
 	locs := make([]int, parts)
 	for i := range locs {
-		if len(liveIdx) == 0 {
-			locs[i] = -1
-		} else {
-			locs[i] = liveIdx[(p.rrOut+i)%len(liveIdx)]
+		locs[i] = -1
+		if len(live) > 0 {
+			locs[i] = live[(p.rrOut+i)%len(live)].idx
 		}
 	}
 	p.rrOut += parts

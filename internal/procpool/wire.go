@@ -1,8 +1,8 @@
 // Package procpool is the process-pool backend: a driver-side Pool that
-// spawns real worker processes (re-execs of the current binary), ships
-// them portable stage tasks (engine.RemoteStageSpec), serves them input
-// blocks from a spill-capable block store, and detects worker death by
-// heartbeat — surfacing lost shuffle outputs through the same
+// spawns real worker processes (re-execs of the current binary), pushes
+// them portable stage tasks (engine.RemoteStageSpec) together with the
+// input blocks they have not seen yet from a spill-capable block store,
+// and detects worker death by heartbeat — surfacing lost shuffle outputs through the same
 // cluster.FetchFailedError the simulator's fault injection raises, so the
 // engine's lineage-based recovery handles real crashes unchanged.
 //
@@ -37,10 +37,8 @@ import (
 const (
 	msgHello      byte = iota + 1 // worker → driver: u64 pid
 	msgHelloAck                   // driver → worker: u32 index | u64 heartbeat period (ns)
-	msgTask                       // driver → worker: u64 task id | JSON engine.RemoteTask
+	msgTask                       // driver → worker: u64 task id | u32 nblocks | (u64 block id | u32 len | batch frame)* | JSON engine.RemoteTask
 	msgTaskResult                 // worker → driver: u64 task id | u8 ok | batch frame or error string
-	msgFetchBlock                 // worker → driver: u64 block id
-	msgBlockData                  // driver → worker: u64 block id | u8 ok | batch frame or error string
 	msgHeartbeat                  // worker → driver: empty
 	msgClearCache                 // driver → worker: empty (drop cached blocks, end of job)
 	msgShutdown                   // driver → worker: empty (exit cleanly)
@@ -126,38 +124,39 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	return head[4], body, nil
 }
 
-// wireReader is a bounds-checked cursor over a frame body.
+// wireReader is a bounds-checked cursor over a frame body. The first
+// read past the end records err; every later read returns zero values, so
+// a parser checks err once after its reads.
 type wireReader struct {
 	b   []byte
 	off int
+	err error
 }
 
-func (r *wireReader) u8() (byte, error) {
-	if r.off+1 > len(r.b) {
-		return 0, fmt.Errorf("procpool: frame body truncated at byte %d", r.off)
+// take returns the next n bytes, or nil once the body is exhausted.
+func (r *wireReader) take(n int) []byte {
+	if r.err == nil && (n < 0 || n > len(r.b)-r.off) {
+		r.err = fmt.Errorf("procpool: frame body truncated at byte %d (%d more wanted)", r.off, n)
 	}
-	v := r.b[r.off]
-	r.off++
-	return v, nil
+	if r.err != nil {
+		return nil
+	}
+	r.off += n
+	return r.b[r.off-n : r.off]
 }
 
-func (r *wireReader) u32() (uint32, error) {
-	if r.off+4 > len(r.b) {
-		return 0, fmt.Errorf("procpool: frame body truncated at byte %d", r.off)
+// uint reads an n-byte big-endian unsigned integer.
+func (r *wireReader) uint(n int) uint64 {
+	var v uint64
+	for _, c := range r.take(n) {
+		v = v<<8 | uint64(c)
 	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v, nil
+	return v
 }
 
-func (r *wireReader) u64() (uint64, error) {
-	if r.off+8 > len(r.b) {
-		return 0, fmt.Errorf("procpool: frame body truncated at byte %d", r.off)
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v, nil
-}
+func (r *wireReader) u8() byte    { return byte(r.uint(1)) }
+func (r *wireReader) u32() uint32 { return uint32(r.uint(4)) }
+func (r *wireReader) u64() uint64 { return r.uint(8) }
 
 // rest returns everything after the cursor (may be empty, never nil).
 func (r *wireReader) rest() []byte {
@@ -167,34 +166,23 @@ func (r *wireReader) rest() []byte {
 	return r.b[r.off:]
 }
 
-func encodeHello(pid int) []byte {
-	b := make([]byte, 8)
-	binary.BigEndian.PutUint64(b, uint64(pid))
-	return b
-}
+func encodeHello(pid int) []byte { return binary.BigEndian.AppendUint64(nil, uint64(pid)) }
 
 func parseHello(body []byte) (int, error) {
 	r := &wireReader{b: body}
-	pid, err := r.u64()
-	return int(pid), err
+	pid := r.u64()
+	return int(pid), r.err
 }
 
 func encodeHelloAck(idx int, beatEvery time.Duration) []byte {
-	b := make([]byte, 12)
-	binary.BigEndian.PutUint32(b, uint32(idx))
-	binary.BigEndian.PutUint64(b[4:], uint64(beatEvery.Nanoseconds()))
-	return b
+	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(nil, uint32(idx)), uint64(beatEvery))
 }
 
 func parseHelloAck(body []byte) (int, time.Duration, error) {
 	r := &wireReader{b: body}
-	idx, err := r.u32()
-	if err != nil {
-		return 0, 0, err
-	}
-	ns, err := r.u64()
-	if err != nil {
-		return 0, 0, err
+	idx, ns := r.u32(), r.u64()
+	if r.err != nil {
+		return 0, 0, r.err
 	}
 	if ns == 0 || ns > uint64(time.Hour) {
 		return 0, 0, fmt.Errorf("procpool: implausible heartbeat period %dns", ns)
@@ -202,36 +190,83 @@ func parseHelloAck(body []byte) (int, time.Duration, error) {
 	return int(idx), time.Duration(ns), nil
 }
 
-func encodeTask(id uint64, t *engine.RemoteTask) ([]byte, error) {
+// inlineBlock is one input block carried inside a task frame.
+type inlineBlock struct {
+	id    uint64
+	frame []byte // batch frame
+}
+
+// blockHeader is an inline block's fixed prefix: u64 id + u32 length.
+const blockHeader = 12
+
+func encodeTask(id uint64, blocks []inlineBlock, t *engine.RemoteTask) ([]byte, error) {
 	js, err := json.Marshal(t)
 	if err != nil {
 		return nil, fmt.Errorf("procpool: marshal task %d: %w", t.Part, err)
 	}
-	b := make([]byte, 8+len(js))
-	binary.BigEndian.PutUint64(b, id)
-	copy(b[8:], js)
-	return b, nil
+	b := binary.BigEndian.AppendUint64(nil, id)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(blocks)))
+	for _, blk := range blocks {
+		b = binary.BigEndian.AppendUint64(b, blk.id)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(blk.frame)))
+		b = append(b, blk.frame...)
+	}
+	return append(b, js...), nil
 }
 
-func parseTask(body []byte) (uint64, *engine.RemoteTask, error) {
+// parseTask splits a task frame into its id, its inline blocks (frames
+// alias body) and the decoded task.
+func parseTask(body []byte) (uint64, []inlineBlock, *engine.RemoteTask, error) {
 	r := &wireReader{b: body}
-	id, err := r.u64()
-	if err != nil {
-		return 0, nil, err
+	id, nb := r.u64(), r.u32()
+	if r.err == nil && uint64(nb)*blockHeader > uint64(len(body)-r.off) {
+		r.err = fmt.Errorf("procpool: task %d declares %d inline blocks, more than its body holds", id, nb)
+	}
+	if r.err != nil {
+		return 0, nil, nil, r.err
+	}
+	blocks := make([]inlineBlock, nb)
+	for i := range blocks {
+		blocks[i].id = r.u64()
+		blocks[i].frame = r.take(int(r.u32()))
+	}
+	if r.err != nil {
+		return 0, nil, nil, r.err
 	}
 	var t engine.RemoteTask
 	if err := json.Unmarshal(r.rest(), &t); err != nil {
-		return 0, nil, fmt.Errorf("procpool: unmarshal task %d: %w", id, err)
+		return 0, nil, nil, fmt.Errorf("procpool: unmarshal task %d: %w", id, err)
 	}
 	if t.Root == nil {
-		return 0, nil, fmt.Errorf("procpool: task %d has no root operator", id)
+		return 0, nil, nil, fmt.Errorf("procpool: task %d has no root operator", id)
 	}
-	return id, &t, nil
+	return id, blocks, &t, nil
 }
 
-// encodeTagged frames the shared (id, ok, bytes) shape of msgTaskResult
-// and msgBlockData: on ok the trailing bytes are an encoded batch frame,
-// otherwise an error string.
+// taskBlocks appends the ids of every block input of t's operator tree,
+// in evaluation order (duplicates included).
+func taskBlocks(dst []uint64, t *engine.RemoteTask) []uint64 {
+	var walk func(ins []engine.RemoteInput)
+	walk = func(ins []engine.RemoteInput) {
+		for i := range ins {
+			switch in := &ins[i]; {
+			case in.Kind == "block":
+				dst = append(dst, in.Block)
+			case in.Node != nil:
+				walk(in.Node.Inputs)
+			default:
+				walk(in.Concat)
+			}
+		}
+	}
+	if t.Root != nil {
+		walk(t.Root.Inputs)
+	}
+	return dst
+}
+
+// encodeTagged frames msgTaskResult's (id, ok, bytes) shape: on ok the
+// trailing bytes are an encoded batch frame, otherwise an error string.
 func encodeTagged(id uint64, ok bool, rest []byte) []byte {
 	b := make([]byte, 9+len(rest))
 	binary.BigEndian.PutUint64(b, id)
@@ -242,28 +277,14 @@ func encodeTagged(id uint64, ok bool, rest []byte) []byte {
 	return b
 }
 
-func parseTagged(body []byte) (id uint64, ok bool, rest []byte, err error) {
+func parseTagged(body []byte) (uint64, bool, []byte, error) {
 	r := &wireReader{b: body}
-	if id, err = r.u64(); err != nil {
-		return 0, false, nil, err
-	}
-	flag, err := r.u8()
-	if err != nil {
-		return 0, false, nil, err
+	id, flag := r.u64(), r.u8()
+	if r.err != nil {
+		return 0, false, nil, r.err
 	}
 	if flag > 1 {
 		return 0, false, nil, fmt.Errorf("procpool: bad ok flag %d", flag)
 	}
 	return id, flag == 1, r.rest(), nil
-}
-
-func encodeBlockReq(id uint64) []byte {
-	b := make([]byte, 8)
-	binary.BigEndian.PutUint64(b, id)
-	return b
-}
-
-func parseBlockReq(body []byte) (uint64, error) {
-	r := &wireReader{b: body}
-	return r.u64()
 }

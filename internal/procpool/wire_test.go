@@ -2,7 +2,9 @@ package procpool
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -15,14 +17,12 @@ func TestWireFrameRoundTrip(t *testing.T) {
 	bodies := map[byte][]byte{
 		msgHello:      encodeHello(4242),
 		msgHelloAck:   encodeHelloAck(3, 250*time.Millisecond),
-		msgFetchBlock: encodeBlockReq(77),
-		msgBlockData:  encodeTagged(77, true, []byte("frame-bytes")),
 		msgTaskResult: encodeTagged(9, false, []byte("boom")),
 		msgHeartbeat:  nil,
 		msgClearCache: nil,
 		msgShutdown:   nil,
 	}
-	order := []byte{msgHello, msgHelloAck, msgFetchBlock, msgBlockData, msgTaskResult, msgHeartbeat, msgClearCache, msgShutdown}
+	order := []byte{msgHello, msgHelloAck, msgTaskResult, msgHeartbeat, msgClearCache, msgShutdown}
 	for _, typ := range order {
 		if err := writeFrame(&buf, typ, bodies[typ]); err != nil {
 			t.Fatalf("write type %d: %v", typ, err)
@@ -57,20 +57,86 @@ func TestWireFieldRoundTrips(t *testing.T) {
 	if err != nil || id != 31 || !ok || string(rest) != "payload" {
 		t.Fatalf("tagged: id %d ok %v rest %q err %v", id, ok, rest, err)
 	}
-	task := &engine.RemoteTask{Part: 3, Root: &engine.RemoteNode{
+}
+
+// wireTask is a task reading block 12 directly and blocks 13 and 12 again
+// through a concat, for the task-frame tests.
+func wireTask() *engine.RemoteTask {
+	return &engine.RemoteTask{Part: 3, Root: &engine.RemoteNode{
 		Op: "identity", Part: 3,
-		Inputs: []engine.RemoteInput{{Kind: "block", Block: 12}},
+		Inputs: []engine.RemoteInput{{Kind: "block", Block: 12}, {Kind: "concat", Concat: []engine.RemoteInput{
+			{Kind: "block", Block: 13}, {Kind: "empty"},
+			{Kind: "node", Node: &engine.RemoteNode{Op: "identity", Inputs: []engine.RemoteInput{{Kind: "block", Block: 12}}}},
+		}}},
 	}}
-	body, err := encodeTask(55, task)
+}
+
+// TestWireTaskFrameRoundTrip: a task frame carries zero, one or several
+// inline blocks (including empty ones) ahead of the task itself, and
+// parses back to the same ids, frames and task.
+func TestWireTaskFrameRoundTrip(t *testing.T) {
+	cases := [][]inlineBlock{
+		nil,
+		{{id: 12, frame: []byte("twelve")}},
+		{{id: 12, frame: []byte("twelve")}, {id: 13, frame: nil}, {id: 99, frame: bytes.Repeat([]byte{0xab}, 300)}},
+	}
+	for _, blocks := range cases {
+		body, err := encodeTask(55, blocks, wireTask())
+		if err != nil {
+			t.Fatalf("encodeTask: %v", err)
+		}
+		id, got, task, err := parseTask(body)
+		if err != nil || id != 55 {
+			t.Fatalf("%d blocks: parseTask: id %d err %v", len(blocks), id, err)
+		}
+		if len(got) != len(blocks) {
+			t.Fatalf("%d blocks: parsed %d", len(blocks), len(got))
+		}
+		for i := range got {
+			if got[i].id != blocks[i].id || !bytes.Equal(got[i].frame, blocks[i].frame) {
+				t.Fatalf("%d blocks: block %d = (%d, %q), want (%d, %q)", len(blocks), i, got[i].id, got[i].frame, blocks[i].id, blocks[i].frame)
+			}
+		}
+		if !reflect.DeepEqual(task, wireTask()) {
+			t.Fatalf("%d blocks: task mismatch: %+v", len(blocks), task)
+		}
+	}
+	if got := taskBlocks(nil, wireTask()); !reflect.DeepEqual(got, []uint64{12, 13, 12}) {
+		t.Fatalf("taskBlocks = %v, want [12 13 12]", got)
+	}
+}
+
+// TestWireTaskFrameRejectsOverruns: a task frame whose block count, block
+// length or block header overruns its body must fail to parse, naming
+// the overrun rather than tripping over the JSON behind it.
+func TestWireTaskFrameRejectsOverruns(t *testing.T) {
+	good, err := encodeTask(7, []inlineBlock{{id: 1, frame: []byte("abcd")}}, wireTask())
 	if err != nil {
-		t.Fatalf("encodeTask: %v", err)
+		t.Fatal(err)
 	}
-	gotID, gotTask, err := parseTask(body)
-	if err != nil || gotID != 55 {
-		t.Fatalf("parseTask: id %d err %v", gotID, err)
+	two, err := encodeTask(7, []inlineBlock{{id: 1, frame: make([]byte, 30)}, {id: 2, frame: []byte("x")}}, wireTask())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if gotTask.Part != 3 || gotTask.Root.Op != "identity" || gotTask.Root.Inputs[0].Block != 12 {
-		t.Fatalf("parseTask: task mismatch: %+v", gotTask)
+	patch := func(off int, v uint32) []byte {
+		b := append([]byte(nil), good...)
+		binary.BigEndian.PutUint32(b[off:], v)
+		return b
+	}
+	cases := []struct {
+		name string
+		body []byte
+		want string
+	}{
+		{"block count", patch(8, 1<<30), "more than its body holds"},
+		{"block length", patch(20, 1<<20), "truncated"},
+		{"truncated block header", two[:12+blockHeader+30+5], "truncated"},
+		{"truncated count", good[:10], "truncated"},
+	}
+	for _, tc := range cases {
+		if _, _, _, err := parseTask(tc.body); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: got %v, want error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -129,11 +195,13 @@ func TestWireRejectsMalformed(t *testing.T) {
 	if _, _, _, err := parseTagged(encodeTagged(1, true, nil)[:8]); err == nil {
 		t.Fatal("tagged without flag parsed")
 	}
-	if _, _, err := parseTask([]byte{0, 0, 0, 0, 0, 0, 0, 1, '{'}); err == nil {
-		t.Fatal("bad task json parsed")
+	// A well-formed header (id, zero inline blocks) in front of bad JSON
+	// and of a task without a root: each fails for its own reason.
+	if _, _, _, err := parseTask(append(make([]byte, 12), '{')); err == nil || !strings.Contains(err.Error(), "unmarshal") {
+		t.Fatalf("bad task json: got %v", err)
 	}
-	if _, _, err := parseTask(append(make([]byte, 8), []byte(`{}`)...)); err == nil {
-		t.Fatal("rootless task parsed")
+	if _, _, _, err := parseTask(append(make([]byte, 12), []byte(`{}`)...)); err == nil || !strings.Contains(err.Error(), "no root operator") {
+		t.Fatalf("rootless task: got %v", err)
 	}
 }
 
@@ -145,7 +213,6 @@ func FuzzWireFrame(f *testing.F) {
 	writeFrame(&seed, msgHello, encodeHello(123))
 	writeFrame(&seed, msgHelloAck, encodeHelloAck(1, 100*time.Millisecond))
 	writeFrame(&seed, msgTaskResult, encodeTagged(7, true, []byte("data")))
-	writeFrame(&seed, msgFetchBlock, encodeBlockReq(9))
 	writeFrame(&seed, msgHeartbeat, nil)
 	f.Add(seed.Bytes())
 	f.Add([]byte{})
@@ -158,6 +225,24 @@ func FuzzWireFrame(f *testing.F) {
 	flip := append([]byte(nil), seed.Bytes()...)
 	flip[len(flip)-2] ^= 0x10
 	f.Add(flip)
+	// Task frames with zero, one and several inline blocks, and ones whose
+	// block count or block length overruns the body.
+	taskFrame := func(body []byte) []byte {
+		var b bytes.Buffer
+		writeFrame(&b, msgTask, body)
+		return b.Bytes()
+	}
+	for _, blocks := range [][]inlineBlock{nil, {{id: 4, frame: []byte("four")}}, {{id: 4}, {id: 5, frame: []byte("five")}}} {
+		body, _ := encodeTask(3, blocks, wireTask())
+		f.Add(taskFrame(body))
+		if len(blocks) > 0 {
+			for _, off := range []int{8, 20} { // the block count, the first block's length
+				bad := append([]byte(nil), body...)
+				binary.BigEndian.PutUint32(bad[off:], 1<<20)
+				f.Add(taskFrame(bad))
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for i := 0; i < 64; i++ { // bound the walk on pathological inputs
@@ -171,11 +256,11 @@ func FuzzWireFrame(f *testing.F) {
 			case msgHelloAck:
 				parseHelloAck(body)
 			case msgTask:
-				parseTask(body)
-			case msgTaskResult, msgBlockData:
+				if _, _, task, err := parseTask(body); err == nil {
+					taskBlocks(nil, task)
+				}
+			case msgTaskResult:
 				parseTagged(body)
-			case msgFetchBlock:
-				parseBlockReq(body)
 			}
 		}
 	})

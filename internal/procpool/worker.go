@@ -2,7 +2,6 @@ package procpool
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"sync"
@@ -78,85 +77,29 @@ func workerRun(sock string) int {
 		}
 	}()
 
-	// Per-worker block cache: shared blocks (broadcasts, fan-in reads)
-	// cross the wire once per worker. Ids are never reused by the driver,
-	// so caching by id alone is safe; clearCache bounds its memory to a
-	// job's working set.
+	// Per-worker block cache, filled from the blocks tasks carry inline:
+	// shared blocks (broadcasts, fan-in reads) cross the wire once per
+	// worker. Ids are never reused by the driver, so caching by id alone
+	// is safe; clearCache bounds its memory to a job's working set.
 	cache := map[uint64]engine.Batch{}
 
-	// fetch resolves a block id over the socket. The worker runs one task
-	// at a time with at most one outstanding fetch, so the next blockData
-	// frame answers this request; housekeeping frames that race a late
-	// fetch are handled inline.
-	fetch := func(id uint64) (engine.Batch, error) {
-		if b, ok := cache[id]; ok {
-			return b, nil
-		}
-		if err := send(msgFetchBlock, encodeBlockReq(id)); err != nil {
-			return nil, err
-		}
-		for {
-			typ, body, err := readFrame(conn)
-			if err != nil {
-				return nil, err
-			}
-			switch typ {
-			case msgBlockData:
-				gotID, ok, rest, perr := parseTagged(body)
-				if perr != nil {
-					return nil, perr
-				}
-				if gotID != id {
-					return nil, fmt.Errorf("procpool: block %d answered request for %d", gotID, id)
-				}
-				if !ok {
-					return nil, fmt.Errorf("procpool: fetch block %d: %s", id, rest)
-				}
-				b, _, derr := engine.DecodeBatch(rest)
-				if derr != nil {
-					return nil, fmt.Errorf("procpool: decode block %d: %w", id, derr)
-				}
-				cache[id] = b
-				return b, nil
-			case msgClearCache:
-				cache = map[uint64]engine.Batch{}
-			case msgShutdown:
-				return nil, fmt.Errorf("procpool: shutdown during fetch")
-			default:
-				return nil, fmt.Errorf("procpool: unexpected frame type %d during fetch", typ)
-			}
-		}
-	}
-
+	// Tasks run one at a time in arrival order, so the driver's oldest
+	// unanswered task is always the one executing here.
 	for {
 		typ, body, err := readFrame(conn)
 		if err != nil {
-			// Driver hung up (pool closed, driver exited): clean exit.
-			if err == io.EOF {
-				return 0
-			}
-			return 0
+			return 0 // driver hung up (pool closed, driver exited)
 		}
 		switch typ {
 		case msgTask:
-			id, task, perr := parseTask(body)
+			id, blocks, task, perr := parseTask(body)
 			if perr != nil {
 				fmt.Fprintf(os.Stderr, "procpool worker: %v\n", perr)
 				return 1
 			}
-			var payload []byte
-			b, rerr := engine.RunRemoteTask(task, fetch)
-			if rerr == nil {
-				if b == nil {
-					b = &engine.Vec[any]{}
-				}
-				payload, rerr = engine.EncodeBatch(nil, b)
-			}
-			var out []byte
-			if rerr != nil {
-				out = encodeTagged(id, false, []byte(rerr.Error()))
-			} else {
-				out = encodeTagged(id, true, payload)
+			out, ok := runTask(id, blocks, task, cache)
+			if !ok {
+				return 1
 			}
 			if send(msgTaskResult, out) != nil {
 				return 0
@@ -170,4 +113,37 @@ func workerRun(sock string) int {
 			return 1
 		}
 	}
+}
+
+// runTask caches a task's inline blocks, runs it and encodes its result
+// frame. A block read that is neither cached nor inline means the frame
+// carrying it was lost: ok=false makes the worker exit, and the driver
+// blames that lost task, its oldest unanswered.
+func runTask(id uint64, blocks []inlineBlock, task *engine.RemoteTask, cache map[uint64]engine.Batch) (out []byte, ok bool) {
+	fail := func(err error) ([]byte, bool) { return encodeTagged(id, false, []byte(err.Error())), true }
+	for _, blk := range blocks {
+		b, _, err := engine.DecodeBatch(blk.frame)
+		if err != nil {
+			return fail(fmt.Errorf("procpool: decode block %d: %w", blk.id, err))
+		}
+		cache[blk.id] = b
+	}
+	for _, bid := range taskBlocks(nil, task) {
+		if _, hit := cache[bid]; !hit {
+			fmt.Fprintf(os.Stderr, "procpool worker: task %d reads block %d that was never sent; exiting\n", id, bid)
+			return nil, false
+		}
+	}
+	b, err := engine.RunRemoteTask(task, func(id uint64) (engine.Batch, error) { return cache[id], nil })
+	if err != nil {
+		return fail(err)
+	}
+	if b == nil {
+		b = &engine.Vec[any]{}
+	}
+	payload, err := engine.EncodeBatch(nil, b)
+	if err != nil {
+		return fail(err)
+	}
+	return encodeTagged(id, true, payload), true
 }
