@@ -4,17 +4,19 @@ package engine
 // stage, so a Backend that owns real worker processes (internal/procpool)
 // can run stage tasks outside the driver.
 //
-// A stage ships as a RemoteStageSpec: one RemoteTask per output partition,
-// each a tree of RemoteNodes (operators named in the portable-op registry,
-// plus their serialized construction arguments) whose leaves are block ids
-// — shuffle blocks, broadcast pins, materialized frontier partitions and
-// driver-evaluated source partitions, all framed with the batchio codec.
-// The worker resolves operator names through the same registry (populated
-// by init-time registrations linked into both processes — see
-// internal/taskreg), resolves the leaf blocks, and replays the exact
-// unfused per-operator evaluation the driver's evalPartDirect would run.
-// Results are bit-identical by construction: both sides run the same
-// registered kernels over the same blocks in the same order.
+// A stage ships as a RemoteStageSpec: an operator table with one entry per
+// plan node of the stage (an operator named in the portable-op registry,
+// plus its serialized construction argument), and one RemoteTask per
+// output partition, each a tree of RemoteNodes that name their operator by
+// index into that table and whose leaves are block ids — shuffle blocks,
+// broadcast pins, materialized frontier partitions and driver-evaluated
+// source partitions, all framed with the batchio codec. The worker builds
+// the table's kernels through the same registry (populated by init-time
+// registrations linked into both processes — see internal/taskreg) once
+// per stage, resolves the leaf blocks, and replays the exact unfused
+// per-operator evaluation the driver's evalPartDirect would run. Results
+// are bit-identical by construction: both sides run the same registered
+// kernels over the same blocks in the same order.
 //
 // Stages containing operators with no registered portable form (ad-hoc
 // closures, Ctx-charging UDFs, broadcast-join Once builds) are not
@@ -82,9 +84,9 @@ func (e *BlockLostError) Error() string {
 	return fmt.Sprintf("lost block %d: %s", e.Block, e.Reason)
 }
 
-// OpChain renders the operator names of a task tree, root-last, for
+// OpChain renders the operator names of task t's tree, root-last, for
 // quarantine diagnostics ("which compute is killing my workers").
-func (t *RemoteTask) OpChain() string {
+func (s *RemoteStageSpec) OpChain(t *RemoteTask) string {
 	var ops []string
 	var walk func(rn *RemoteNode)
 	walk = func(rn *RemoteNode) {
@@ -103,7 +105,11 @@ func (t *RemoteTask) OpChain() string {
 		for i := range rn.Inputs {
 			desc(&rn.Inputs[i])
 		}
-		ops = append(ops, rn.Op)
+		name := "?"
+		if rn.Op >= 0 && rn.Op < len(s.Ops) {
+			name = s.Ops[rn.Op].Name
+		}
+		ops = append(ops, name)
 	}
 	walk(t.Root)
 	return strings.Join(ops, " → ")
@@ -125,7 +131,11 @@ type portableMark struct {
 type PortableCompute = func(tc *Ctx, p int, inputs []Batch) Batch
 
 // PortableFactory builds a kernel from a node's serialized argument
-// (nil for ops whose UDF is fixed at registration time).
+// (nil for ops whose UDF is fixed at registration time). A worker builds
+// each stage operator's kernel once and calls it for every partition of
+// the stage, in any order, so the kernel must be pure: its output depends
+// only on its partition number and inputs, and it keeps no state between
+// calls.
 type PortableFactory = func(arg []byte) (PortableCompute, error)
 
 // portableOps is the process-wide by-name operator registry. Both the
@@ -137,7 +147,9 @@ var portableOps sync.Map // string -> PortableFactory
 // an init function of a package linked into both the driver and the worker
 // binary (they are the same binary re-exec'd, so one registration site
 // covers both). Registering a name twice panics: silent replacement would
-// let driver and worker disagree on what a name computes.
+// let driver and worker disagree on what a name computes. The kernels mk
+// builds are reused across partitions (see PortableFactory): they must be
+// pure.
 func RegisterPortableOp(name string, mk PortableFactory) {
 	if name == "" || mk == nil {
 		panic("engine: RegisterPortableOp needs a name and a factory")
@@ -186,35 +198,54 @@ func MarkCombinePortable[T any](d Dataset[T], op string, arg []byte) Dataset[T] 
 	return d
 }
 
-// RemoteStageSpec is one stage as shipped to the process pool: a task per
-// output partition. All fields are exported value data so the spec
-// marshals with encoding/json.
+// RemoteStageSpec is one stage as shipped to the process pool: the
+// stage's operator table and a task per output partition. All fields are
+// exported value data; internal/procpool encodes them in its own binary
+// task frames.
 type RemoteStageSpec struct {
-	Label string       `json:"label"`
-	Tasks []RemoteTask `json:"tasks"`
+	Label string
+	Ops   []RemoteOp
+	Tasks []RemoteTask
+}
+
+// RemoteOp is one entry of a stage's operator table: the registered
+// portable-op name of one plan node and the serialized argument its
+// factory builds the kernel from.
+type RemoteOp struct {
+	Name string
+	Arg  []byte
 }
 
 // RemoteTask computes one output partition of the stage root.
 type RemoteTask struct {
-	Part int         `json:"part"`
-	Root *RemoteNode `json:"root"`
+	Part int
+	Root *RemoteNode
 }
 
 // RemoteNode is one operator application in a task's chain.
 type RemoteNode struct {
-	Op     string        `json:"op"`
-	Arg    []byte        `json:"arg,omitempty"`
-	Part   int           `json:"part"`
-	Inputs []RemoteInput `json:"inputs,omitempty"`
+	Op     int // index into the stage's operator table
+	Part   int
+	Inputs []RemoteInput
 }
+
+// InputKind says what a RemoteInput holds. The zero value is invalid.
+type InputKind uint8
+
+const (
+	InputEmpty  InputKind = iota + 1 // no batch
+	InputBlock                       // a stored block, by id
+	InputNode                        // a nested in-chain operator
+	InputConcat                      // a fan-in concatenation of inputs
+)
 
 // RemoteInput is one dep's input batch: a block stored on the driver,
 // a nested in-chain operator, a fan-in concatenation, or nothing.
 type RemoteInput struct {
-	Kind   string        `json:"kind"` // "block" | "node" | "concat" | "empty"
-	Block  uint64        `json:"block,omitempty"`
-	Node   *RemoteNode   `json:"node,omitempty"`
-	Concat []RemoteInput `json:"concat,omitempty"`
+	Kind   InputKind
+	Block  uint64
+	Node   *RemoteNode
+	Concat []RemoteInput
 }
 
 // RemoteStageResult is what a RemoteRunner reports back for one stage.
@@ -281,7 +312,8 @@ func (j *job) stagePortable(n *node) error {
 
 // buildRemoteSpec assembles the shippable spec for the stage rooted at n,
 // storing every leaf batch through put exactly once (batches shared across
-// tasks — broadcasts, fan-in reads — dedupe on identity). It mirrors
+// tasks — broadcasts, fan-in reads — dedupe on identity) and giving every
+// in-chain plan node one operator-table entry, shared by all tasks. It mirrors
 // evalPartDirect's unfused input assembly exactly; fusion never applies
 // remotely, which the NoFuse bit-identity suite proves is invisible to
 // results. The returned owners map records which plan node produced each
@@ -292,10 +324,10 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 	owners := map[uint64]*node{}
 	blockInput := func(owner *node, b Batch) (RemoteInput, error) {
 		if b == nil || b == zeroBatch {
-			return RemoteInput{Kind: "empty"}, nil
+			return RemoteInput{Kind: InputEmpty}, nil
 		}
 		if id, ok := ids[b]; ok {
-			return RemoteInput{Kind: "block", Block: id}, nil
+			return RemoteInput{Kind: InputBlock, Block: id}, nil
 		}
 		id, err := put(b)
 		if err != nil {
@@ -303,8 +335,10 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 		}
 		ids[b] = id
 		owners[id] = owner
-		return RemoteInput{Kind: "block", Block: id}, nil
+		return RemoteInput{Kind: InputBlock, Block: id}, nil
 	}
+	spec := &RemoteStageSpec{Label: n.label, Tasks: make([]RemoteTask, 0, n.parts)}
+	opIndex := map[*node]int{}
 
 	var buildNode func(nd *node, p int) (*RemoteNode, error)
 	var inputFor func(nd *node, pp int) (RemoteInput, error)
@@ -322,13 +356,19 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 		if err != nil {
 			return RemoteInput{}, err
 		}
-		return RemoteInput{Kind: "node", Node: rn}, nil
+		return RemoteInput{Kind: InputNode, Node: rn}, nil
 	}
 	buildNode = func(nd *node, p int) (*RemoteNode, error) {
 		if nd.port == nil {
 			return nil, fmt.Errorf("%w: operator %q has no registered portable form (see internal/taskreg)", ErrNotPortable, nd.label)
 		}
-		rn := &RemoteNode{Op: nd.port.op, Arg: nd.port.arg, Part: p, Inputs: make([]RemoteInput, len(nd.deps))}
+		op, ok := opIndex[nd]
+		if !ok {
+			op = len(spec.Ops)
+			opIndex[nd] = op
+			spec.Ops = append(spec.Ops, RemoteOp{Name: nd.port.op, Arg: nd.port.arg})
+		}
+		rn := &RemoteNode{Op: op, Part: p, Inputs: make([]RemoteInput, len(nd.deps))}
 		for i := range nd.deps {
 			d := &nd.deps[i]
 			var in RemoteInput
@@ -340,7 +380,7 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 				} else if pps := d.narrowMap(p); len(pps) == 1 {
 					in, err = inputFor(d.parent, pps[0])
 				} else if len(pps) == 0 {
-					in = RemoteInput{Kind: "empty"}
+					in = RemoteInput{Kind: InputEmpty}
 				} else {
 					sub := make([]RemoteInput, len(pps))
 					for k, pp := range pps {
@@ -348,7 +388,7 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 							break
 						}
 					}
-					in = RemoteInput{Kind: "concat", Concat: sub}
+					in = RemoteInput{Kind: InputConcat, Concat: sub}
 				}
 			case depShuffle:
 				in, err = blockInput(d.parent, j.blocks[d][p])
@@ -363,7 +403,6 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 		return rn, nil
 	}
 
-	spec := &RemoteStageSpec{Label: n.label, Tasks: make([]RemoteTask, 0, n.parts)}
 	for p := 0; p < n.parts; p++ {
 		root, err := buildNode(n, p)
 		if err != nil {
@@ -380,45 +419,77 @@ func (j *job) buildRemoteSpec(n *node, put func(Batch) (uint64, error)) (*Remote
 // (broadcasts) cross the wire once per worker.
 type FetchFunc func(id uint64) (Batch, error)
 
-// RunRemoteTask evaluates one shipped task in the current process: resolve
-// each operator through the portable-op registry, resolve leaf blocks, and
-// run the chain bottom-up — exactly the unfused evaluation the driver
-// would perform. A panicking kernel is reported as an error, not a worker
-// death.
-func RunRemoteTask(t *RemoteTask, fetch FetchFunc) (b Batch, err error) {
+// StageKernels is a stage's operator table compiled: one kernel per
+// RemoteOp, built once and reused for every task of the stage.
+type StageKernels []PortableCompute
+
+// CompileOps builds the kernel of every operator-table entry through the
+// portable-op registry. A panicking factory is reported as an error.
+func CompileOps(ops []RemoteOp) (k StageKernels, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			k, err = nil, fmt.Errorf("engine: portable op factory panicked: %v", r)
+		}
+	}()
+	k = make(StageKernels, len(ops))
+	for i, op := range ops {
+		mkAny, ok := portableOps.Load(op.Name)
+		if !ok {
+			return nil, fmt.Errorf("engine: portable op %q is not registered in this process", op.Name)
+		}
+		if k[i], err = mkAny.(PortableFactory)(op.Arg); err != nil {
+			return nil, fmt.Errorf("engine: portable op %q: %w", op.Name, err)
+		}
+	}
+	return k, nil
+}
+
+// RunRemoteTask evaluates one shipped task in the current process with
+// freshly built kernels — the reference the compiled path (StageKernels.Run)
+// must match.
+func RunRemoteTask(ops []RemoteOp, t *RemoteTask, fetch FetchFunc) (Batch, error) {
+	k, err := CompileOps(ops)
+	if err != nil {
+		return nil, err
+	}
+	return k.Run(t, fetch)
+}
+
+// Run evaluates one task of the stage: resolve leaf blocks and run the
+// chain bottom-up — exactly the unfused evaluation the driver would
+// perform. A panicking kernel is reported as an error, not a worker death.
+func (k StageKernels) Run(t *RemoteTask, fetch FetchFunc) (b Batch, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("engine: remote task %d panicked: %v", t.Part, r)
 		}
 	}()
-	return evalRemoteNode(t.Root, fetch)
+	if t.Root == nil {
+		return nil, fmt.Errorf("engine: remote task %d has no root operator", t.Part)
+	}
+	return k.evalNode(t.Root, fetch)
 }
 
-func evalRemoteNode(rn *RemoteNode, fetch FetchFunc) (Batch, error) {
-	mkAny, ok := portableOps.Load(rn.Op)
-	if !ok {
-		return nil, fmt.Errorf("engine: portable op %q is not registered in this process", rn.Op)
-	}
-	compute, err := mkAny.(PortableFactory)(rn.Arg)
-	if err != nil {
-		return nil, fmt.Errorf("engine: portable op %q: %w", rn.Op, err)
+func (k StageKernels) evalNode(rn *RemoteNode, fetch FetchFunc) (Batch, error) {
+	if rn.Op < 0 || rn.Op >= len(k) {
+		return nil, fmt.Errorf("engine: operator index %d outside the stage's %d-entry table", rn.Op, len(k))
 	}
 	inputs := make([]Batch, len(rn.Inputs))
 	for i := range rn.Inputs {
-		b, err := evalRemoteInput(&rn.Inputs[i], fetch)
+		b, err := k.evalInput(&rn.Inputs[i], fetch)
 		if err != nil {
 			return nil, err
 		}
 		inputs[i] = b
 	}
-	return compute(&Ctx{}, rn.Part, inputs), nil
+	return k[rn.Op](&Ctx{}, rn.Part, inputs), nil
 }
 
-func evalRemoteInput(in *RemoteInput, fetch FetchFunc) (Batch, error) {
+func (k StageKernels) evalInput(in *RemoteInput, fetch FetchFunc) (Batch, error) {
 	switch in.Kind {
-	case "empty":
+	case InputEmpty:
 		return zeroBatch, nil
-	case "block":
+	case InputBlock:
 		b, err := fetch(in.Block)
 		if err != nil {
 			return nil, err
@@ -427,14 +498,14 @@ func evalRemoteInput(in *RemoteInput, fetch FetchFunc) (Batch, error) {
 			b = zeroBatch
 		}
 		return b, nil
-	case "node":
-		return evalRemoteNode(in.Node, fetch)
-	case "concat":
+	case InputNode:
+		return k.evalNode(in.Node, fetch)
+	case InputConcat:
 		// Fan-in concat replays the driver's boxed chunk-wise appends
 		// (see evalPartDirect), adopting the grown capacity as BoxedCap.
 		var xs []any
 		for i := range in.Concat {
-			b, err := evalRemoteInput(&in.Concat[i], fetch)
+			b, err := k.evalInput(&in.Concat[i], fetch)
 			if err != nil {
 				return nil, err
 			}
@@ -442,7 +513,7 @@ func evalRemoteInput(in *RemoteInput, fetch FetchFunc) (Batch, error) {
 		}
 		return boxedBatch(xs), nil
 	default:
-		return nil, fmt.Errorf("engine: unknown remote input kind %q", in.Kind)
+		return nil, fmt.Errorf("engine: unknown remote input kind %d", in.Kind)
 	}
 }
 

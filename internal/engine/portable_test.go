@@ -68,7 +68,7 @@ func (f *fakeRemoteRunner) PutBlock(b Batch) (uint64, error) {
 func (f *fakeRemoteRunner) RunRemoteStage(_ context.Context, spec *RemoteStageSpec) (*RemoteStageResult, error) {
 	parts := make([]Batch, len(spec.Tasks))
 	for i := range spec.Tasks {
-		b, err := RunRemoteTask(&spec.Tasks[i], func(id uint64) (Batch, error) {
+		b, err := RunRemoteTask(spec.Ops, &spec.Tasks[i], func(id uint64) (Batch, error) {
 			blk, ok := f.blocks[id]
 			if !ok {
 				return nil, codecErr("fake runner: unknown block %d", id)

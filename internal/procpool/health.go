@@ -134,8 +134,10 @@ func (p *Pool) handshake(conn net.Conn) (*workerProc, error) {
 		cmd:      ps.cmd,
 		conn:     conn,
 		exited:   make(chan struct{}),
+		read:     make(chan struct{}),
 		lastBeat: time.Now(),
 		sent:     map[uint64]bool{},
+		tables:   map[uint64]bool{},
 	}
 	if err := w.send(msgHelloAck, encodeHelloAck(w.idx, p.cfg.HeartbeatEvery)); err != nil {
 		return fail(ps, fmt.Errorf("procpool: worker %d ack: %w", w.idx, err))
@@ -285,11 +287,11 @@ func (p *Pool) waitQuorum(ctx context.Context, label string) ([]*workerProc, err
 	}
 }
 
-// sendData writes one task frame (caller holds w.wmu), applying the fault
-// plan's frame faults. Control-plane frames (acks, shutdown, cache
-// clears) stay clean: the chaos being modeled is a flaky transport under
-// load, not a corrupted protocol.
-func (p *Pool) sendData(w *workerProc, body []byte) error {
+// sendData writes one sealed task frame (caller holds w.wmu), applying
+// the fault plan's frame faults. Control-plane frames (acks, shutdown,
+// cache clears) stay clean: the chaos being modeled is a flaky transport
+// under load, not a corrupted protocol.
+func (p *Pool) sendData(w *workerProc, frame []byte) error {
 	if p.cfg.Faults.Active() {
 		n := atomic.AddUint64(&p.frameSeq, 1)
 		switch p.cfg.Faults.frameFaultAt(n) {
@@ -300,14 +302,14 @@ func (p *Pool) sendData(w *workerProc, body []byte) error {
 			// like (see DropEveryFrames for how the loss surfaces).
 			return nil
 		case frameReset:
-			frame := appendFrame(nil, msgTask, body)
 			cut := p.cfg.Faults.tearPoint(n, len(frame))
 			w.conn.Write(frame[:cut])
 			w.conn.Close()
 			return fmt.Errorf("procpool: injected connection reset to worker %d mid-frame (%d/%d bytes)", w.idx, cut, len(frame))
 		}
 	}
-	return writeFrame(w.conn, msgTask, body)
+	_, err := w.conn.Write(frame)
+	return err
 }
 
 // spillDamage builds the block store's post-spill damage hook from the

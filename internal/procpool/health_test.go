@@ -21,7 +21,7 @@ import (
 
 // The adversarial test operators. They register in both the driver and
 // the worker (same binary, same init), and none of them need real input
-// data — their single input is Kind "empty".
+// data — their single input is engine.InputEmpty.
 func init() {
 	engine.RegisterPortableOp("htest.ok", func([]byte) (engine.PortableCompute, error) {
 		return func(_ *engine.Ctx, _ int, inputs []engine.Batch) engine.Batch {
@@ -77,11 +77,10 @@ func init() {
 // opSpec builds a minimal one-op stage: parts tasks, each running op on
 // an empty input.
 func opSpec(label, op string, arg []byte, parts int) *engine.RemoteStageSpec {
-	spec := &engine.RemoteStageSpec{Label: label}
+	spec := &engine.RemoteStageSpec{Label: label, Ops: []engine.RemoteOp{{Name: op, Arg: arg}}}
 	for p := 0; p < parts; p++ {
 		spec.Tasks = append(spec.Tasks, engine.RemoteTask{Part: p, Root: &engine.RemoteNode{
-			Op: op, Arg: arg, Part: p,
-			Inputs: []engine.RemoteInput{{Kind: "empty"}},
+			Part: p, Inputs: []engine.RemoteInput{{Kind: engine.InputEmpty}},
 		}})
 	}
 	return spec
@@ -97,8 +96,8 @@ func blockStage(t *testing.T, pool *Pool, op string, parts, lateFrom int) (*engi
 	local := map[uint64]engine.Batch{}
 	fetch := func(id uint64) (engine.Batch, error) { return local[id], nil }
 	put := func(p int) uint64 {
-		b, err := engine.RunRemoteTask(&engine.RemoteTask{Part: p, Root: &engine.RemoteNode{
-			Op: "htest.gen", Part: p, Inputs: []engine.RemoteInput{{Kind: "empty"}}}}, fetch)
+		b, err := engine.RunRemoteTask([]engine.RemoteOp{{Name: "htest.gen"}}, &engine.RemoteTask{Part: p, Root: &engine.RemoteNode{
+			Part: p, Inputs: []engine.RemoteInput{{Kind: engine.InputEmpty}}}}, fetch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,18 +109,18 @@ func blockStage(t *testing.T, pool *Pool, op string, parts, lateFrom int) (*engi
 		return id
 	}
 	shared, late := put(1000), put(1001)
-	spec := &engine.RemoteStageSpec{Label: op + "-stage"}
+	spec := &engine.RemoteStageSpec{Label: op + "-stage", Ops: []engine.RemoteOp{{Name: op}}}
 	for p := 0; p < parts; p++ {
-		ins := []engine.RemoteInput{{Kind: "block", Block: put(p)}, {Kind: "block", Block: shared}}
+		ins := []engine.RemoteInput{{Kind: engine.InputBlock, Block: put(p)}, {Kind: engine.InputBlock, Block: shared}}
 		if p >= lateFrom {
-			ins = append(ins, engine.RemoteInput{Kind: "block", Block: late})
+			ins = append(ins, engine.RemoteInput{Kind: engine.InputBlock, Block: late})
 		}
 		spec.Tasks = append(spec.Tasks, engine.RemoteTask{Part: p, Root: &engine.RemoteNode{
-			Op: op, Part: p, Inputs: []engine.RemoteInput{{Kind: "concat", Concat: ins}}}})
+			Part: p, Inputs: []engine.RemoteInput{{Kind: engine.InputConcat, Concat: ins}}}})
 	}
 	want := make([]engine.Batch, parts)
 	for i := range spec.Tasks {
-		b, err := engine.RunRemoteTask(&spec.Tasks[i], fetch)
+		b, err := engine.RunRemoteTask(spec.Ops, &spec.Tasks[i], fetch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +151,7 @@ func TestWindowBlamesOnlyOldest(t *testing.T) {
 	pool := startPool(t, Config{Workers: 1, KillAfterTasks: 6, RespawnBackoff: 10 * time.Millisecond})
 	first := pool.snapshotWorkers()[0].gen
 	spec, want := blockStage(t, pool, "htest.nap", 12, 12)
-	st := newStageRun(spec)
+	st := pool.newStageRun(spec)
 	if err := pool.runStage(context.Background(), st); err != nil {
 		t.Fatalf("stage with a mid-window kill: %v", err)
 	}
@@ -195,7 +194,7 @@ func TestDroppedFrameBlamesDroppedTask(t *testing.T) {
 			pool := startPool(t, Config{Workers: 1, TaskDeadline: deadline, RespawnBackoff: 10 * time.Millisecond,
 				Faults: FaultPlan{DropEveryFrames: 7}})
 			spec, want := blockStage(t, pool, "htest.ok", 8, tc.lateFrom)
-			st := newStageRun(spec)
+			st := pool.newStageRun(spec)
 			start := time.Now()
 			if err := pool.runStage(context.Background(), st); err != nil {
 				t.Fatalf("stage with a dropped frame: %v", err)
@@ -211,25 +210,59 @@ func TestDroppedFrameBlamesDroppedTask(t *testing.T) {
 			}
 		})
 	}
+	// The lost frame is the one carrying the stage's operator table: the
+	// worker exits on the next frame, whose task needs the table, and only
+	// the task of the lost frame is blamed. Six one-task-per-frame filler
+	// tasks make a second stage's first task frame 7; its three tasks,
+	// requeued, go out as frames 10 to 12.
+	t.Run("missing operator table", func(t *testing.T) {
+		const deadline = 10 * time.Second
+		pool := startPool(t, Config{Workers: 1, TaskDeadline: deadline, RespawnBackoff: 10 * time.Millisecond,
+			Faults: FaultPlan{DropEveryFrames: 7}})
+		if _, err := pool.RunRemoteStage(context.Background(), opSpec("filler", "htest.ok", nil, 6)); err != nil {
+			t.Fatalf("filler stage: %v", err)
+		}
+		st := pool.newStageRun(opSpec("table-stage", "htest.gen", nil, 3))
+		start := time.Now()
+		if err := pool.runStage(context.Background(), st); err != nil {
+			t.Fatalf("stage with a dropped table frame: %v", err)
+		}
+		if took := time.Since(start); took >= deadline/2 {
+			t.Fatalf("stage took %v: the loss went unnoticed until the deadline", took)
+		}
+		if got := blamed(st); !reflect.DeepEqual(got, map[int]int{0: 1}) {
+			t.Fatalf("blamed tasks %v, want only the dropped task 0", got)
+		}
+		for p, b := range st.parts {
+			if want := []int{p * 10, p*10 + 1, p*10 + 2}; !reflect.DeepEqual(b.Data(), want) {
+				t.Fatalf("part %d = %v, want %v", p, b, want)
+			}
+		}
+	})
 }
 
-// TestRunTaskRefusesUnsentBlock: a worker never computes over a block it
-// was not sent. runTask reports a protocol break (ok=false, the worker
-// exits) instead of evaluating the task over a missing input; with the
-// block inline the same task runs.
+// TestRunTaskRefusesUnsentBlock: a worker never computes over a block or
+// an operator table it was not sent. runTask reports a protocol break
+// (ok=false, the worker exits) instead of evaluating the task over a
+// missing input or kernel; with both inline the same task runs.
 func TestRunTaskRefusesUnsentBlock(t *testing.T) {
-	task := &engine.RemoteTask{Root: &engine.RemoteNode{Op: "htest.ok",
-		Inputs: []engine.RemoteInput{{Kind: "block", Block: 9}}}}
-	if _, ok := runTask(1, nil, task, map[uint64]engine.Batch{}); ok {
-		t.Fatal("ran a task over a block that was never sent")
-	}
+	task := engine.RemoteTask{Root: &engine.RemoteNode{
+		Inputs: []engine.RemoteInput{{Kind: engine.InputBlock, Block: 9}}}}
+	ops := []engine.RemoteOp{{Name: "htest.ok"}}
 	frame, err := engine.EncodeBatch(nil, &engine.Vec[any]{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, ok := runTask(2, []inlineBlock{{id: 9, frame: frame}}, task, map[uint64]engine.Batch{})
+	blocks := []inlineBlock{{id: 9, frame: frame}}
+	if _, ok := newWorkerState().runTask(&taskFrame{id: 1, stage: 1, ops: ops, task: task, nops: 1}); ok {
+		t.Fatal("ran a task over a block that was never sent")
+	}
+	if _, ok := newWorkerState().runTask(&taskFrame{id: 1, stage: 1, blocks: blocks, task: task, nops: 1}); ok {
+		t.Fatal("ran a task whose operator table was never sent")
+	}
+	out, ok := newWorkerState().runTask(&taskFrame{id: 2, stage: 1, ops: ops, blocks: blocks, task: task, nops: 1})
 	if _, done, _, err := parseTagged(out); !ok || !done || err != nil {
-		t.Fatalf("task with its block inline: ok=%v done=%v err=%v", ok, done, err)
+		t.Fatalf("task with its block and table inline: ok=%v done=%v err=%v", ok, done, err)
 	}
 }
 
@@ -307,8 +340,9 @@ func TestPoisonTaskQuarantine(t *testing.T) {
 	rec := obs.NewRecorder()
 	pool := startPool(t, Config{Workers: 2, RespawnBackoff: 10 * time.Millisecond, Events: rec})
 	spec := opSpec("poison-stage", "htest.ok", nil, 2*(dispatchWindow+4))
-	spec.Tasks[0].Root.Op = "htest.exit"
-	st := newStageRun(spec)
+	spec.Ops = append(spec.Ops, engine.RemoteOp{Name: "htest.exit"})
+	spec.Tasks[0].Root.Op = 1
+	st := pool.newStageRun(spec)
 	err := pool.runStage(context.Background(), st)
 	var pe *engine.PoisonTaskError
 	if !errors.As(err, &pe) {
@@ -496,10 +530,10 @@ func TestWorkerDiesBetweenPutAndLaunch(t *testing.T) {
 		t.Fatalf("PutBlock: %v", err)
 	}
 	pool.markDead(pool.snapshotWorkers()[0], fmt.Errorf("test: died after PutBlock"))
-	spec := &engine.RemoteStageSpec{Label: "put-then-die", Tasks: []engine.RemoteTask{{
+	spec := &engine.RemoteStageSpec{Label: "put-then-die", Ops: []engine.RemoteOp{{Name: "identity"}}, Tasks: []engine.RemoteTask{{
 		Part: 0,
-		Root: &engine.RemoteNode{Op: "identity", Part: 0,
-			Inputs: []engine.RemoteInput{{Kind: "block", Block: id}}},
+		Root: &engine.RemoteNode{Part: 0,
+			Inputs: []engine.RemoteInput{{Kind: engine.InputBlock, Block: id}}},
 	}}}
 	res, err := pool.RunRemoteStage(context.Background(), spec)
 	if err != nil {

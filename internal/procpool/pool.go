@@ -1,6 +1,7 @@
 package procpool
 
 import (
+	"bufio"
 	"cmp"
 	"context"
 	"errors"
@@ -178,9 +179,11 @@ type workerProc struct {
 	pid    int
 	cmd    *exec.Cmd
 	conn   net.Conn
-	wmu    sync.Mutex      // serializes frame writes to conn, guards sent
+	wmu    sync.Mutex      // serializes frame writes to conn, guards sent and tables
 	sent   map[uint64]bool // blocks pushed since the worker's cache was cleared
+	tables map[uint64]bool // stages whose operator table was pushed since then
 	exited chan struct{}   // closed once cmd.Wait returned (process reaped)
+	read   chan struct{}   // closed once readLoop returned
 
 	mu        sync.Mutex
 	dead      bool
@@ -243,6 +246,7 @@ type Pool struct {
 	stopCh chan struct{} // closed by Close
 
 	taskSeq   uint64 // atomic: wire task ids
+	stageSeq  uint64 // atomic: wire stage ids (operator tables)
 	genSeq    uint64 // atomic: worker incarnation ids
 	frameSeq  uint64 // atomic: data-plane frames sent (fault-plan cadence)
 	nDispatch int64  // atomic: lifetime dispatch count (kill hooks)
@@ -393,9 +397,13 @@ func (p *Pool) Close() {
 
 // readLoop demuxes one worker's incoming frames. Any frame proves the
 // worker alive; a read error means it died (or the pool is closing).
+// Frames are read through a buffer: the handshake consumed exactly the
+// hello, and everything after it is this loop's.
 func (p *Pool) readLoop(w *workerProc) {
+	defer close(w.read)
+	in := bufio.NewReader(w.conn)
 	for {
-		typ, body, err := readFrame(w.conn)
+		typ, body, err := readFrame(in)
 		if err != nil {
 			p.markDead(w, fmt.Errorf("procpool: worker %d connection lost: %v", w.idx, err))
 			return
@@ -437,9 +445,21 @@ func (p *Pool) readLoop(w *workerProc) {
 	}
 }
 
+// exitDrainGrace bounds how long an exited worker's death waits for
+// readLoop to drain what the worker wrote before it died.
+const exitDrainGrace = time.Second
+
 // waitWorker reaps the worker process; an exit before Close is a crash.
+// The death is declared once readLoop has drained the connection, whose
+// EOF follows the exit: replies the worker wrote before dying resolve
+// their tasks first, so the blame falls on the task it died on, not on
+// one whose answer was still unread.
 func (p *Pool) waitWorker(w *workerProc) {
 	err := w.cmd.Wait()
+	select {
+	case <-w.read:
+	case <-time.After(exitDrainGrace):
+	}
 	p.markDead(w, fmt.Errorf("procpool: worker %d exited: %v", w.idx, err))
 	close(w.exited)
 }
@@ -578,15 +598,16 @@ var errWorkerDead = errors.New("procpool: worker is dead")
 // stageRun is one stage's results and blame record. A round hands each
 // task to one worker, so dispatch goroutines write disjoint entries.
 type stageRun struct {
+	id       uint64 // names the stage's operator table on the wire
 	spec     *engine.RemoteStageSpec
 	parts    []engine.Batch
 	failedOn []map[uint64]bool // task -> worker incarnations blamed for its death
 	ranOn    map[int]bool      // worker slots that completed tasks
 }
 
-func newStageRun(spec *engine.RemoteStageSpec) *stageRun {
+func (p *Pool) newStageRun(spec *engine.RemoteStageSpec) *stageRun {
 	n := len(spec.Tasks)
-	return &stageRun{spec: spec, parts: make([]engine.Batch, n), failedOn: make([]map[uint64]bool, n), ranOn: map[int]bool{}}
+	return &stageRun{id: atomic.AddUint64(&p.stageSeq, 1), spec: spec, parts: make([]engine.Batch, n), failedOn: make([]map[uint64]bool, n), ranOn: map[int]bool{}}
 }
 
 // RunRemoteStage distributes the spec's tasks round-robin over live
@@ -606,7 +627,7 @@ func (p *Pool) RunRemoteStage(ctx context.Context, spec *engine.RemoteStageSpec)
 		return &engine.RemoteStageResult{}, nil
 	}
 	shippedBefore := atomic.LoadInt64(&p.shipped)
-	st := newStageRun(spec)
+	st := p.newStageRun(spec)
 	if err := p.runStage(ctx, st); err != nil {
 		return nil, err
 	}
@@ -681,10 +702,11 @@ func (p *Pool) runStage(ctx context.Context, st *stageRun) error {
 // the in-flight tasks resolve as died and go back with the unsent rest.
 func (p *Pool) dispatch(ctx context.Context, w *workerProc, st *stageRun, list []int) (out dispatched) {
 	var window []pendingTask
+	sc := pushScratch{seen: map[uint64]bool{}}
 	next, alive := 0, true
 	for {
 		for alive && out.err == nil && next < len(list) && len(window) < dispatchWindow {
-			t, err := p.pushTask(w, &st.spec.Tasks[list[next]], list[next])
+			t, err := p.pushTask(w, st, list[next], &sc)
 			if errors.Is(err, errWorkerDead) {
 				alive = false
 			} else if err != nil {
@@ -721,7 +743,7 @@ func (p *Pool) dispatch(ctx context.Context, w *workerProc, st *stageRun, list [
 			if n := len(st.failedOn[ti]); n < quarantineAfter {
 				out.requeue = append(out.requeue, ti)
 			} else if out.err == nil {
-				out.err = &engine.PoisonTaskError{Stage: st.spec.Label, Part: task.Part, Ops: task.OpChain(), Workers: n}
+				out.err = &engine.PoisonTaskError{Stage: st.spec.Label, Part: task.Part, Ops: st.spec.OpChain(task), Workers: n}
 			}
 		case r.died:
 			out.requeue = append(out.requeue, ti)
@@ -742,21 +764,34 @@ func (p *Pool) dispatch(ctx context.Context, w *workerProc, st *stageRun, list [
 	return out
 }
 
-// pushTask sends task ti to w with every input block w has not been sent
-// yet inline, and queues it as in flight. A block the store cannot serve
+// pushScratch is one dispatch loop's reusable buffers for building task
+// frames.
+type pushScratch struct {
+	ids    []uint64
+	seen   map[uint64]bool
+	blocks []inlineBlock
+}
+
+// pushTask sends task ti of st to w, with the stage's operator table if w
+// has not been sent it yet and every input block w has not been sent yet
+// inline, and queues it as in flight. A block the store cannot serve
 // intact fails the dispatch with *engine.BlockLostError, for lineage to
 // recompute. The kill hooks (KillAfterTasks, FaultPlan) fire here on the
 // lifetime dispatch counter, so the crash — and the lost-output
 // bookkeeping — is ordered before any later stage of the run.
-func (p *Pool) pushTask(w *workerProc, t *engine.RemoteTask, ti int) (pendingTask, error) {
+func (p *Pool) pushTask(w *workerProc, st *stageRun, ti int, sc *pushScratch) (pendingTask, error) {
+	t := &st.spec.Tasks[ti]
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	var blocks []inlineBlock
+	clear(sc.seen)
+	sc.blocks = sc.blocks[:0]
+	sc.ids = taskBlocks(sc.ids[:0], t)
 	var blockBytes int64
-	for _, id := range taskBlocks(nil, t) {
-		if w.sent[id] || slices.ContainsFunc(blocks, func(b inlineBlock) bool { return b.id == id }) {
+	for _, id := range sc.ids {
+		if w.sent[id] || sc.seen[id] {
 			continue
 		}
+		sc.seen[id] = true
 		frame, err := p.store.get(id)
 		var lost *engine.BlockLostError
 		if errors.As(err, &lost) {
@@ -768,11 +803,15 @@ func (p *Pool) pushTask(w *workerProc, t *engine.RemoteTask, ti int) (pendingTas
 		if err != nil {
 			return pendingTask{}, err
 		}
-		blocks = append(blocks, inlineBlock{id, frame})
+		sc.blocks = append(sc.blocks, inlineBlock{id, frame})
 		blockBytes += int64(len(frame))
 	}
 	pt := pendingTask{id: atomic.AddUint64(&p.taskSeq, 1), ti: ti, part: t.Part, ch: make(chan taskReply, 1)}
-	body, err := encodeTask(pt.id, blocks, t)
+	f := taskFrame{id: pt.id, stage: st.id, blocks: sc.blocks, task: *t}
+	if !w.tables[st.id] {
+		f.ops = st.spec.Ops
+	}
+	frame, err := appendTask(startFrame(msgTask, 64+int(blockBytes)), &f)
 	if err != nil {
 		return pendingTask{}, err
 	}
@@ -786,10 +825,11 @@ func (p *Pool) pushTask(w *workerProc, t *engine.RemoteTask, ti int) (pendingTas
 	}
 	w.inflight = append(w.inflight, pt)
 	w.mu.Unlock()
-	for _, b := range blocks {
+	for _, b := range sc.blocks {
 		w.sent[b.id] = true
 	}
-	if err := p.sendData(w, body); err != nil {
+	w.tables[st.id] = true
+	if err := p.sendData(w, sealFrame(frame)); err != nil {
 		p.markDead(w, fmt.Errorf("procpool: worker %d send failed: %v", w.idx, err))
 		return pt, nil // resolved by markDead
 	}
@@ -854,6 +894,7 @@ func (p *Pool) ReleaseBroadcasts() {
 	for _, w := range p.liveWorkers() {
 		w.wmu.Lock()
 		clear(w.sent)
+		clear(w.tables)
 		writeFrame(w.conn, msgClearCache, nil)
 		w.wmu.Unlock()
 	}

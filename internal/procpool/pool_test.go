@@ -76,8 +76,11 @@ func TestChaosABBitIdentical(t *testing.T) {
 
 // TestKMeansInnerABBitIdentical is the Fig. 1 workload's inner-parallel
 // plan: its assign map ships a JSON-parameterized UDF (the per-iteration
-// centroids), so bit-identical results prove float64 parameters survive
-// the driver→worker round trip exactly.
+// centroids) in the stage's operator table, once per worker per stage, and
+// each worker builds its kernel once and reuses it for every partition.
+// Bit-identical results prove float64 parameters survive the
+// driver→worker round trip exactly and that the reused kernel computes
+// what a fresh one would.
 func TestKMeansInnerABBitIdentical(t *testing.T) {
 	pool := startPool(t, Config{Workers: 2})
 	sp := tasks.KMeansSpec{TotalPoints: 2000, K: 3, Configs: 3, Eps: 1e-6, MaxIters: 4, Seed: 1}

@@ -14,8 +14,8 @@
 package procpool
 
 import (
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -34,13 +34,27 @@ import (
 // turns a flipped bit anywhere in a body — kernel buffer reuse, a torn
 // write racing a crash, fault injection — into a loud framing error
 // instead of a silently wrong batch.
+//
+// A msgTask body is
+//
+//	u64 task id | u64 stage id
+//	u8 table flag | if 1: u32 nops | (u32 len | op name | u32 len | op arg)*
+//	u32 nblocks | (u64 block id | u32 len | batch frame)*
+//	u32 part | node
+//
+// node  = u32 op index | u32 part | u32 ninputs | input*
+// input = u8 kind | empty: nothing | block: u64 id | node: node | concat: u32 n | input*
+//
+// The stage's operator table rides inline (flag 1) in the first task frame
+// of that stage a worker incarnation receives; the worker compiles its
+// kernels once and keeps them, with its block cache, until msgClearCache.
 const (
 	msgHello      byte = iota + 1 // worker → driver: u64 pid
 	msgHelloAck                   // driver → worker: u32 index | u64 heartbeat period (ns)
-	msgTask                       // driver → worker: u64 task id | u32 nblocks | (u64 block id | u32 len | batch frame)* | JSON engine.RemoteTask
+	msgTask                       // driver → worker: see above
 	msgTaskResult                 // worker → driver: u64 task id | u8 ok | batch frame or error string
 	msgHeartbeat                  // worker → driver: empty
-	msgClearCache                 // driver → worker: empty (drop cached blocks, end of job)
+	msgClearCache                 // driver → worker: empty (drop cached blocks and operator tables, end of job)
 	msgShutdown                   // driver → worker: empty (exit cleanly)
 )
 
@@ -51,26 +65,35 @@ const maxWireFrame = 1 << 30
 // frameOverhead is the payload's fixed prefix: type byte + body checksum.
 const frameOverhead = 5
 
+// frameHeader is a whole frame's fixed prefix: length + frameOverhead.
+const frameHeader = 4 + frameOverhead
+
 // wireCRC is the Castagnoli polynomial table shared by the wire framing
 // and the spill files (hardware-accelerated on amd64/arm64).
 var wireCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame appends one encoded frame (length, type, checksum, body) to
-// dst — shared by writeFrame and the fault injector's torn-write path so
-// both produce byte-identical frames.
-func appendFrame(dst []byte, typ byte, body []byte) []byte {
-	var head [9]byte
-	binary.BigEndian.PutUint32(head[:], uint32(frameOverhead+len(body)))
-	head[4] = typ
-	binary.BigEndian.PutUint32(head[5:], crc32.Checksum(body, wireCRC))
-	return append(append(dst, head[:]...), body...)
+// startFrame returns a buffer holding the blank header of a frame of type
+// typ, with room for a body of sizeHint bytes: append the body, then
+// sealFrame. Task frames are built this way so the body is never copied.
+func startFrame(typ byte, sizeHint int) []byte {
+	f := make([]byte, frameHeader, frameHeader+sizeHint)
+	f[4] = typ
+	return f
+}
+
+// sealFrame fills in the length and body checksum of a frame built on
+// startFrame.
+func sealFrame(f []byte) []byte {
+	binary.BigEndian.PutUint32(f, uint32(len(f)-4))
+	binary.BigEndian.PutUint32(f[5:], crc32.Checksum(f[frameHeader:], wireCRC))
+	return f
 }
 
 // writeFrame sends one frame as a single Write (callers still serialize
 // concurrent writers per connection: large writes may be split by the
 // kernel, and interleaved partial writes would corrupt the stream).
 func writeFrame(w io.Writer, typ byte, body []byte) error {
-	_, err := w.Write(appendFrame(make([]byte, 0, 9+len(body)), typ, body))
+	_, err := w.Write(sealFrame(append(startFrame(typ, len(body)), body...)))
 	return err
 }
 
@@ -154,6 +177,27 @@ func (r *wireReader) uint(n int) uint64 {
 	return v
 }
 
+// fail records a parse error unless one is already recorded.
+func (r *wireReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+	}
+}
+
+// count reads a u32 element count and checks that the rest of the body
+// could hold that many elements of at least size bytes each, so a lying
+// count cannot make the parser allocate past the body.
+func (r *wireReader) count(size int, what string) int {
+	n := r.u32()
+	if r.err == nil && uint64(n)*uint64(size) > uint64(len(r.b)-r.off) {
+		r.fail("procpool: frame declares %d %s, more than its body holds", n, what)
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
 func (r *wireReader) u8() byte    { return byte(r.uint(1)) }
 func (r *wireReader) u32() uint32 { return uint32(r.uint(4)) }
 func (r *wireReader) u64() uint64 { return r.uint(8) }
@@ -199,48 +243,179 @@ type inlineBlock struct {
 // blockHeader is an inline block's fixed prefix: u64 id + u32 length.
 const blockHeader = 12
 
-func encodeTask(id uint64, blocks []inlineBlock, t *engine.RemoteTask) ([]byte, error) {
-	js, err := json.Marshal(t)
-	if err != nil {
-		return nil, fmt.Errorf("procpool: marshal task %d: %w", t.Part, err)
+// maxTaskDepth caps how deep a task's operator tree nests (nodes and
+// concats both count a level), so a hostile body cannot recurse the
+// parser off its stack. Plans nest one level per fused operator.
+const maxTaskDepth = 1000
+
+// taskFrame is one msgTask body, parsed or to be encoded.
+type taskFrame struct {
+	id     uint64
+	stage  uint64            // pool-unique stage id: names the operator table
+	ops    []engine.RemoteOp // the stage's operator table, when inline
+	blocks []inlineBlock     // frames alias the parsed body
+	task   engine.RemoteTask
+	nops   int // parsed: table entries the task refers to (highest index + 1)
+}
+
+// appendTask appends f's msgTask body to b.
+func appendTask(b []byte, f *taskFrame) ([]byte, error) {
+	b = binary.BigEndian.AppendUint64(b, f.id)
+	b = binary.BigEndian.AppendUint64(b, f.stage)
+	if f.ops == nil {
+		b = append(b, 0)
+	} else {
+		b = append(b, 1)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(f.ops)))
+		for _, op := range f.ops {
+			b = binary.BigEndian.AppendUint32(b, uint32(len(op.Name)))
+			b = append(b, op.Name...)
+			b = binary.BigEndian.AppendUint32(b, uint32(len(op.Arg)))
+			b = append(b, op.Arg...)
+		}
 	}
-	b := binary.BigEndian.AppendUint64(nil, id)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(blocks)))
-	for _, blk := range blocks {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(f.blocks)))
+	for _, blk := range f.blocks {
 		b = binary.BigEndian.AppendUint64(b, blk.id)
 		b = binary.BigEndian.AppendUint32(b, uint32(len(blk.frame)))
 		b = append(b, blk.frame...)
 	}
-	return append(b, js...), nil
+	if f.task.Root == nil {
+		return nil, fmt.Errorf("procpool: task %d has no root operator", f.task.Part)
+	}
+	b = binary.BigEndian.AppendUint32(b, uint32(f.task.Part))
+	return appendNode(b, f.task.Root, 0)
 }
 
-// parseTask splits a task frame into its id, its inline blocks (frames
-// alias body) and the decoded task.
-func parseTask(body []byte) (uint64, []inlineBlock, *engine.RemoteTask, error) {
+func appendNode(b []byte, rn *engine.RemoteNode, depth int) ([]byte, error) {
+	b = binary.BigEndian.AppendUint32(b, uint32(rn.Op))
+	b = binary.BigEndian.AppendUint32(b, uint32(rn.Part))
+	return appendInputs(b, rn.Inputs, depth)
+}
+
+// appendInputs appends an input list at the given nesting depth; every
+// level of a task tree passes through here, so the depth cap sits here.
+func appendInputs(b []byte, ins []engine.RemoteInput, depth int) ([]byte, error) {
+	if depth > maxTaskDepth {
+		return nil, fmt.Errorf("procpool: task tree nests deeper than %d", maxTaskDepth)
+	}
+	b = binary.BigEndian.AppendUint32(b, uint32(len(ins)))
+	var err error
+	for i := range ins {
+		in := &ins[i]
+		b = append(b, byte(in.Kind))
+		switch in.Kind {
+		case engine.InputEmpty:
+		case engine.InputBlock:
+			b = binary.BigEndian.AppendUint64(b, in.Block)
+		case engine.InputNode:
+			b, err = appendNode(b, in.Node, depth+1)
+		case engine.InputConcat:
+			b, err = appendInputs(b, in.Concat, depth+1)
+		default:
+			err = fmt.Errorf("procpool: unknown task input kind %d", in.Kind)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+// parseTask parses a msgTask body. Block frames alias body. Every body it
+// accepts re-encodes byte-identically through appendTask.
+func parseTask(body []byte) (taskFrame, error) {
 	r := &wireReader{b: body}
-	id, nb := r.u64(), r.u32()
-	if r.err == nil && uint64(nb)*blockHeader > uint64(len(body)-r.off) {
-		r.err = fmt.Errorf("procpool: task %d declares %d inline blocks, more than its body holds", id, nb)
+	var f taskFrame
+	f.id, f.stage = r.u64(), r.u64()
+	switch flag := r.u8(); {
+	case r.err != nil:
+	case flag == 1:
+		f.ops = make([]engine.RemoteOp, r.count(8, "operators"))
+		for i := range f.ops {
+			f.ops[i].Name = string(r.take(int(r.u32())))
+			if arg := r.take(int(r.u32())); len(arg) > 0 {
+				// Copied: the table outlives this frame's body.
+				f.ops[i].Arg = bytes.Clone(arg)
+			}
+		}
+	case flag != 0:
+		r.fail("procpool: task %d: bad operator-table flag %d", f.id, flag)
+	}
+	f.blocks = make([]inlineBlock, r.count(blockHeader, "inline blocks"))
+	for i := range f.blocks {
+		f.blocks[i].id = r.u64()
+		f.blocks[i].frame = r.take(int(r.u32()))
+	}
+	f.task.Part = int(r.u32())
+	if r.err == nil && r.off == len(body) {
+		r.fail("procpool: task %d has no root operator", f.id)
+	}
+	f.task.Root = r.node(0, &f.nops)
+	if r.err == nil && r.off != len(body) {
+		r.fail("procpool: task %d has %d trailing bytes", f.id, len(body)-r.off)
 	}
 	if r.err != nil {
-		return 0, nil, nil, r.err
+		return taskFrame{}, r.err
 	}
-	blocks := make([]inlineBlock, nb)
-	for i := range blocks {
-		blocks[i].id = r.u64()
-		blocks[i].frame = r.take(int(r.u32()))
+	if f.ops != nil {
+		if err := f.checkTable(len(f.ops)); err != nil {
+			return taskFrame{}, err
+		}
 	}
+	return f, nil
+}
+
+// checkTable reports a task that refers past the end of its stage's
+// n-entry operator table.
+func (f *taskFrame) checkTable(n int) error {
+	if f.nops > n {
+		return fmt.Errorf("procpool: task %d refers to operator %d, outside its stage's %d-entry table", f.id, f.nops-1, n)
+	}
+	return nil
+}
+
+// node reads one operator node; depth counts the enclosing levels, and
+// nops tracks the highest operator index seen, plus one.
+func (r *wireReader) node(depth int, nops *int) *engine.RemoteNode {
+	op, part := r.u32(), r.u32()
 	if r.err != nil {
-		return 0, nil, nil, r.err
+		return nil
 	}
-	var t engine.RemoteTask
-	if err := json.Unmarshal(r.rest(), &t); err != nil {
-		return 0, nil, nil, fmt.Errorf("procpool: unmarshal task %d: %w", id, err)
+	*nops = max(*nops, int(op)+1)
+	return &engine.RemoteNode{Op: int(op), Part: int(part), Inputs: r.inputs(depth, nops)}
+}
+
+// inputs reads a u32 count and that many inputs at the given depth; every
+// level of a task tree passes through here, so the depth cap sits here.
+func (r *wireReader) inputs(depth int, nops *int) []engine.RemoteInput {
+	if depth > maxTaskDepth {
+		r.fail("procpool: task tree nests deeper than %d", maxTaskDepth)
 	}
-	if t.Root == nil {
-		return 0, nil, nil, fmt.Errorf("procpool: task %d has no root operator", id)
+	n := r.count(1, "inputs")
+	if n == 0 {
+		return nil
 	}
-	return id, blocks, &t, nil
+	ins := make([]engine.RemoteInput, n)
+	for i := range ins {
+		in := &ins[i]
+		in.Kind = engine.InputKind(r.u8())
+		switch in.Kind {
+		case engine.InputEmpty:
+		case engine.InputBlock:
+			in.Block = r.u64()
+		case engine.InputNode:
+			in.Node = r.node(depth+1, nops)
+		case engine.InputConcat:
+			in.Concat = r.inputs(depth+1, nops)
+		default:
+			r.fail("procpool: unknown task input kind %d", in.Kind)
+		}
+		if r.err != nil {
+			return nil
+		}
+	}
+	return ins
 }
 
 // taskBlocks appends the ids of every block input of t's operator tree,
@@ -249,12 +424,12 @@ func taskBlocks(dst []uint64, t *engine.RemoteTask) []uint64 {
 	var walk func(ins []engine.RemoteInput)
 	walk = func(ins []engine.RemoteInput) {
 		for i := range ins {
-			switch in := &ins[i]; {
-			case in.Kind == "block":
+			switch in := &ins[i]; in.Kind {
+			case engine.InputBlock:
 				dst = append(dst, in.Block)
-			case in.Node != nil:
+			case engine.InputNode:
 				walk(in.Node.Inputs)
-			default:
+			case engine.InputConcat:
 				walk(in.Concat)
 			}
 		}

@@ -1,6 +1,7 @@
 package procpool
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"os"
@@ -77,27 +78,26 @@ func workerRun(sock string) int {
 		}
 	}()
 
-	// Per-worker block cache, filled from the blocks tasks carry inline:
-	// shared blocks (broadcasts, fan-in reads) cross the wire once per
-	// worker. Ids are never reused by the driver, so caching by id alone
-	// is safe; clearCache bounds its memory to a job's working set.
-	cache := map[uint64]engine.Batch{}
+	// Frames are read through a buffer from here on: the handshake above
+	// read exactly its one frame, so no byte is lost to the switch.
+	in := bufio.NewReader(conn)
+	state := newWorkerState()
 
 	// Tasks run one at a time in arrival order, so the driver's oldest
 	// unanswered task is always the one executing here.
 	for {
-		typ, body, err := readFrame(conn)
+		typ, body, err := readFrame(in)
 		if err != nil {
 			return 0 // driver hung up (pool closed, driver exited)
 		}
 		switch typ {
 		case msgTask:
-			id, blocks, task, perr := parseTask(body)
+			f, perr := parseTask(body)
 			if perr != nil {
 				fmt.Fprintf(os.Stderr, "procpool worker: %v\n", perr)
 				return 1
 			}
-			out, ok := runTask(id, blocks, task, cache)
+			out, ok := state.runTask(&f)
 			if !ok {
 				return 1
 			}
@@ -105,7 +105,7 @@ func workerRun(sock string) int {
 				return 0
 			}
 		case msgClearCache:
-			cache = map[uint64]engine.Batch{}
+			state = newWorkerState()
 		case msgShutdown:
 			return 0
 		default:
@@ -115,26 +115,68 @@ func workerRun(sock string) int {
 	}
 }
 
-// runTask caches a task's inline blocks, runs it and encodes its result
-// frame. A block read that is neither cached nor inline means the frame
+// workerState is what a worker incarnation keeps between tasks, filled
+// from what task frames carry inline and dropped at msgClearCache (the end
+// of a job): decoded blocks by id, so shared blocks (broadcasts, fan-in
+// reads) cross the wire once per worker, and each stage's compiled
+// operator table by stage id, so every kernel is built once per stage.
+// The driver never reuses a block or stage id.
+type workerState struct {
+	cache  map[uint64]engine.Batch
+	tables map[uint64]stageTable
+	ids    []uint64 // scratch: the running task's block ids
+}
+
+// stageTable is one stage's operator table as this worker compiled it. A
+// table whose kernels failed to build keeps the error, which every task of
+// the stage then reports.
+type stageTable struct {
+	kernels engine.StageKernels
+	err     error
+}
+
+func newWorkerState() *workerState {
+	return &workerState{cache: map[uint64]engine.Batch{}, tables: map[uint64]stageTable{}}
+}
+
+// runTask caches a task frame's inline blocks and operator table, runs the
+// task with the stage's compiled kernels and encodes its result frame. A
+// block or table that is neither cached nor inline means the frame
 // carrying it was lost: ok=false makes the worker exit, and the driver
 // blames that lost task, its oldest unanswered.
-func runTask(id uint64, blocks []inlineBlock, task *engine.RemoteTask, cache map[uint64]engine.Batch) (out []byte, ok bool) {
-	fail := func(err error) ([]byte, bool) { return encodeTagged(id, false, []byte(err.Error())), true }
-	for _, blk := range blocks {
+func (s *workerState) runTask(f *taskFrame) (out []byte, ok bool) {
+	fail := func(err error) ([]byte, bool) { return encodeTagged(f.id, false, []byte(err.Error())), true }
+	if f.ops != nil {
+		k, err := engine.CompileOps(f.ops)
+		s.tables[f.stage] = stageTable{kernels: k, err: err}
+	}
+	for _, blk := range f.blocks {
 		b, _, err := engine.DecodeBatch(blk.frame)
 		if err != nil {
 			return fail(fmt.Errorf("procpool: decode block %d: %w", blk.id, err))
 		}
-		cache[blk.id] = b
+		s.cache[blk.id] = b
 	}
-	for _, bid := range taskBlocks(nil, task) {
-		if _, hit := cache[bid]; !hit {
-			fmt.Fprintf(os.Stderr, "procpool worker: task %d reads block %d that was never sent; exiting\n", id, bid)
+	tbl, have := s.tables[f.stage]
+	if !have {
+		fmt.Fprintf(os.Stderr, "procpool worker: task %d needs the operator table of stage %d, which was never sent; exiting\n", f.id, f.stage)
+		return nil, false
+	}
+	s.ids = taskBlocks(s.ids[:0], &f.task)
+	for _, bid := range s.ids {
+		if _, hit := s.cache[bid]; !hit {
+			fmt.Fprintf(os.Stderr, "procpool worker: task %d reads block %d that was never sent; exiting\n", f.id, bid)
 			return nil, false
 		}
 	}
-	b, err := engine.RunRemoteTask(task, func(id uint64) (engine.Batch, error) { return cache[id], nil })
+	if tbl.err != nil {
+		return fail(tbl.err)
+	}
+	if err := f.checkTable(len(tbl.kernels)); err != nil {
+		fmt.Fprintf(os.Stderr, "procpool worker: %v; exiting\n", err)
+		return nil, false
+	}
+	b, err := tbl.kernels.Run(&f.task, func(id uint64) (engine.Batch, error) { return s.cache[id], nil })
 	if err != nil {
 		return fail(err)
 	}
@@ -145,5 +187,5 @@ func runTask(id uint64, blocks []inlineBlock, task *engine.RemoteTask, cache map
 	if err != nil {
 		return fail(err)
 	}
-	return encodeTagged(id, true, payload), true
+	return encodeTagged(f.id, true, payload), true
 }
