@@ -40,12 +40,13 @@ bench:
 ## full-benchtime steady state (GC pacing and span reuse never settle),
 ## so a tight ns/op bound would flake — order-of-magnitude regressions
 ## still trip it. The precise check is allocs/op on the stage-boundary
-## benchmarks, gated exactly (allocation counts are deterministic; any
-## growth is a real change to the typed data path). New and removed
+## benchmarks and the wide shuffle route, gated exactly (allocation counts
+## are deterministic; any growth is a real change to the typed data path
+## or to the router's per-route bookkeeping). New and removed
 ## benchmarks are reported but never fail; regenerate the baseline with
 ## `make bench`.
 bench-check:
-	$(GO) test -bench . -benchmem -benchtime 10x -run '^$$' ./internal/engine | $(GO) run ./cmd/benchjson -check BENCH_engine.json -factor 3 -gate-allocs ShuffleBoundary
+	$(GO) test -bench . -benchmem -benchtime 10x -run '^$$' ./internal/engine | $(GO) run ./cmd/benchjson -check BENCH_engine.json -factor 3 -gate-allocs 'ShuffleBoundary|ShuffleRoute/wide'
 
 ## fuzz-smoke: fuzz the batch wire codec for 30s from the checked-in seed
 ## corpus (internal/engine/testdata/fuzz/FuzzBatchCodec), then the

@@ -80,8 +80,9 @@ func TestFusedNarrowPathAllocBound(t *testing.T) {
 }
 
 // TestRouteParallelAllocBound: the counting-pass router allocates exactly
-// its bookkeeping (target cache and counts per source, one slice per
-// non-empty block) and nothing per element.
+// its bookkeeping (the per-source routing table and one arena for every
+// source's target cache and hits, one batch per non-empty block) and
+// nothing per element.
 func TestRouteParallelAllocBound(t *testing.T) {
 	skipIfInstrumented(t)
 	const nsrc, perSrc, nt = 8, 4096, 16
@@ -90,11 +91,61 @@ func TestRouteParallelAllocBound(t *testing.T) {
 	s := poolSession(runtime.GOMAXPROCS(0))
 	defer s.Close()
 	s.routeParallel(d, parent) // warm the worker pool
-	// targets outer + nsrc caches + counts + blocks outer + nt blocks,
-	// plus pool-dispatch slack.
+	// blocks outer + routing table + arena + nt blocks (header and
+	// slice each), plus closures and pool-dispatch slack.
 	const budget = 2*nsrc + nt + 16
 	if avg := testing.AllocsPerRun(10, func() { s.routeParallel(d, parent) }); avg > budget {
 		t.Errorf("routeParallel allocates %.0f per call, want <= %d", avg, budget)
+	}
+}
+
+// TestRouteWideShuffleBytes: one route of inner-parallel k-means' shape —
+// 1200 map partitions of 4 combined sums each into 1200 targets — costs
+// bytes linear in elements, sources and targets. A source×target count
+// table would be 1200×1200 int32 = 5.76 MB on its own.
+func TestRouteWideShuffleBytes(t *testing.T) {
+	skipIfInstrumented(t)
+	const nsrc, perSrc, nt = 1200, 4, 1200
+	const n = nsrc * perSrc
+	parent := benchParent(nsrc, perSrc, false)
+	d := benchDep(nt)
+	s := poolSession(runtime.GOMAXPROCS(0))
+	defer s.Close()
+	// The bound, item by item:
+	//   blocks slice          16 B per target (one interface each)
+	//   routing table         48 B per source (two slice headers)
+	//   arena                 4 B per element of target cache, plus two
+	//                         int32 hit slots per element at most: 12 B
+	//                         per element
+	//   non-empty blocks      at most min(n, nt) of them, 32 B of Vec
+	//                         header each, and 8 B per int element,
+	//                         doubled for size-class rounding: 16 B per
+	//                         element
+	//   page rounding         8 KiB each for the three arrays above
+	//                         that are large objects (blocks slice,
+	//                         routing table, arena)
+	//   count scratch         4 B per target for each goroutine that
+	//                         misses the pool, plus the prefix sum's own
+	//   closures and dispatch 4 KiB
+	procs := runtime.GOMAXPROCS(0)
+	bound := uint64(16*nt + 48*nsrc + 12*n + 32*min(n, nt) + 16*n + 3*8192 + 4*nt*(procs+1) + 4096)
+	for name, route := range map[string]func(){
+		"serial":   func() { routeSerial(d, parent) },
+		"parallel": func() { s.routeParallel(d, parent) },
+	} {
+		route() // warm the worker pool and the scratch pool
+		const rounds = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			route()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per > bound {
+			t.Errorf("%s route of %d sources x %d elements into %d targets allocates %d B, want <= %d", name, nsrc, perSrc, nt, per, bound)
+		} else {
+			t.Logf("%s: %d B per route (bound %d)", name, per, bound)
+		}
 	}
 }
 

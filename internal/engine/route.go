@@ -6,27 +6,31 @@ package engine
 // stage boundary). One counting-pass core serves both executors — the
 // serial reference and the pooled parallel router run the identical
 // algorithm with different loop dispatch, so their blocks are equal by
-// construction. Typed batches route without boxing: the dep's
-// batchTargets hashes a whole batch monomorphically in the counting pass,
-// and scatter moves elements between typed blocks in the write pass.
+// construction. Counts are sparse: each source keeps (target, count)
+// pairs for only the targets it reaches, so a shuffle of few elements
+// into many targets costs no source×target table. Typed batches route
+// without boxing: the dep's batchTargets hashes a whole batch
+// monomorphically in the counting pass, and scatter moves elements
+// between typed blocks in the write pass.
 
-// partTarget returns the target partition for element idx of source
-// partition src under dep d. Partitioners must be pure: routing runs
-// concurrently and may evaluate sources in any order.
-func partTarget(d *dep, src, idx int, e any) int {
-	if d.posPartitioner != nil {
-		return d.posPartitioner(src, idx, d.childParts)
-	}
-	return d.partitioner(e, d.childParts)
+import "sync"
+
+// routeSrc is one source's routing state, two windows of a per-route
+// arena: tg caches each element's target, and hits holds a (target,
+// count) pair per target the source reaches, the count rewritten into the
+// source's write offset by the prefix sum.
+type routeSrc struct {
+	tg, hits []int32
 }
 
 // routeCore routes every element of every parent partition into its
-// target block. A counting pass records each element's target (the
-// partitioner hash runs exactly once per element — targets are cached for
-// the write pass), the per-(source, target) counts are prefix-summed into
-// exact offsets, and a second pass writes every element directly into its
-// final slot. Output block order is deterministic regardless of worker
-// count: sources in order, elements in source order.
+// target block. A counting pass caches each element's target (the
+// partitioner runs exactly once per element) and compacts the source's
+// counts into sparse hits; a prefix sum over the sources in order turns
+// each hit into a write offset; a write pass puts every element directly
+// into its final slot. Work and memory are O(elements + sources +
+// targets), never sources×targets. Output block order is deterministic
+// regardless of worker count: sources in order, elements in source order.
 //
 // When every non-empty source shares one batch shape, blocks are
 // allocated in that shape and filled by typed scatter; mixed shapes fall
@@ -40,91 +44,142 @@ func routeCore(d *dep, parent []Batch, pool *workerPool, workers int) []Batch {
 	if nsrc == 0 {
 		return blocks
 	}
-	// Counting pass: counts[src*nt+t] = elements of source src bound for
-	// target t; targets[src][idx] caches each element's target.
-	targets := make([][]int32, nsrc)
-	counts := make([]int32, nsrc*nt)
-	countSrc := func(src int) {
-		part := parent[src]
+	// A source of n elements reaches at most min(n, nt) targets.
+	srcs := make([]routeSrc, nsrc)
+	size := 0
+	for _, part := range parent {
 		n := batchLen(part)
-		tg := make([]int32, n)
-		ct := counts[src*nt : (src+1)*nt]
+		size += n + 2*min(n, nt)
+	}
+	arena := make([]int32, size)
+	for src, part := range parent {
+		n := batchLen(part)
+		h := n + 2*min(n, nt)
+		srcs[src] = routeSrc{tg: arena[:n:n], hits: arena[n:n:h]}
+		arena = arena[h:]
+	}
+
+	// Counting pass: count into the zeroed scratch, then walk the target
+	// cache to move each nonzero count into hits, re-zeroing as it goes.
+	countSrc := func(src int, ct []int32) {
+		part := parent[src]
+		rs := &srcs[src]
+		n := len(rs.tg)
 		switch {
 		case n == 0:
+			return
 		case d.posPartitioner != nil:
 			for idx := 0; idx < n; idx++ {
 				t := d.posPartitioner(src, idx, nt)
-				tg[idx] = int32(t)
+				rs.tg[idx] = int32(t)
 				ct[t]++
 			}
-		case d.batchTargets != nil && d.batchTargets(part, nt, tg, ct):
+		case d.batchTargets != nil && d.batchTargets(part, nt, rs.tg, ct):
 			// Typed fast path: one dispatch per batch, no boxing.
 		default:
 			for idx := 0; idx < n; idx++ {
 				t := d.partitioner(part.At(idx), nt)
-				tg[idx] = int32(t)
+				rs.tg[idx] = int32(t)
 				ct[t]++
 			}
 		}
-		targets[src] = tg
-	}
-	if workers <= 1 {
-		for src := 0; src < nsrc; src++ {
-			countSrc(src)
+		for _, t := range rs.tg {
+			if c := ct[t]; c != 0 {
+				rs.hits = append(rs.hits, t, c)
+				ct[t] = 0
+			}
 		}
-	} else {
-		pool.parallelForSafe(workers, nsrc, countSrc)
 	}
+	forSources(pool, workers, nsrc, nt, countSrc)
 
 	// Block representation: typed when every non-empty source agrees.
 	proto, homogeneous := routeProto(parent)
 
-	// Prefix-sum counts into write offsets (per target, sources in order)
-	// and allocate each block exactly once at its final size.
-	for t := 0; t < nt; t++ {
-		var run int32
-		for src := 0; src < nsrc; src++ {
-			c := counts[src*nt+t]
-			counts[src*nt+t] = run
-			run += c
+	// Prefix sum, then allocate each block exactly once at its final size.
+	totp := getRouteScratch(nt)
+	total := *totp
+	for _, rs := range srcs {
+		for i := 0; i < len(rs.hits); i += 2 {
+			t, c := rs.hits[i], rs.hits[i+1]
+			rs.hits[i+1] = total[t]
+			total[t] += c
 		}
-		if run > 0 { // keep empty blocks nil, as the boxed reference did
+	}
+	for t, n := range total {
+		if n > 0 { // keep empty blocks nil, as the boxed reference did
 			if homogeneous {
-				blocks[t] = proto.newLike(int(run), blockCap(int(run)))
+				blocks[t] = proto.newLike(int(n), blockCap(int(n)))
 			} else {
-				blocks[t] = &Vec[any]{xs: make([]any, run), bcap: blockCap(int(run))}
+				blocks[t] = &Vec[any]{xs: make([]any, n), bcap: blockCap(int(n))}
+			}
+			total[t] = 0
+		}
+	}
+	routeScratch.Put(totp)
+
+	// Write pass: load the source's offsets into the zeroed scratch, write,
+	// re-zero. Offsets are disjoint across sources, so writes to a shared
+	// block land in disjoint slots.
+	writeSrc := func(src int, off []int32) {
+		part, rs := parent[src], srcs[src]
+		if len(rs.tg) == 0 {
+			return
+		}
+		for i := 0; i < len(rs.hits); i += 2 {
+			off[rs.hits[i]] = rs.hits[i+1]
+		}
+		if homogeneous {
+			part.scatter(rs.tg, off, blocks)
+		} else {
+			for idx, t := range rs.tg {
+				blocks[t].setAny(int(off[t]), part.At(idx))
+				off[t]++
 			}
 		}
-	}
-
-	// Write pass: each source owns its offset row, so writes to a shared
-	// block land in disjoint slots.
-	writeSrc := func(src int) {
-		part := parent[src]
-		n := batchLen(part)
-		if n == 0 {
-			return
-		}
-		off := counts[src*nt : (src+1)*nt]
-		tg := targets[src]
-		if homogeneous {
-			part.scatter(tg, off, blocks)
-			return
-		}
-		for idx := 0; idx < n; idx++ {
-			t := tg[idx]
-			blocks[t].setAny(int(off[t]), part.At(idx))
-			off[t]++
+		for i := 0; i < len(rs.hits); i += 2 {
+			off[rs.hits[i]] = 0
 		}
 	}
-	if workers <= 1 {
-		for src := 0; src < nsrc; src++ {
-			writeSrc(src)
-		}
-	} else {
-		pool.parallelForSafe(workers, nsrc, writeSrc)
-	}
+	forSources(pool, workers, nsrc, nt, writeSrc)
 	return blocks
+}
+
+// forSources runs body over every source: inline when workers <= 1, else
+// on the pool in contiguous runs, four per worker so uneven sources still
+// balance. Each run lends body one all-zero nt-sized scratch, which body
+// must leave all-zero. A run that panics never returns its scratch, so no
+// route reuses a dirty one.
+func forSources(pool *workerPool, workers, nsrc, nt int, body func(src int, scratch []int32)) {
+	runs := 1
+	if workers > 1 {
+		runs = min(nsrc, 4*workers)
+	}
+	run := func(r int) {
+		sc := getRouteScratch(nt)
+		for src := r * nsrc / runs; src < (r+1)*nsrc/runs; src++ {
+			body(src, *sc)
+		}
+		routeScratch.Put(sc)
+	}
+	if runs == 1 {
+		run(0)
+	} else {
+		pool.parallelForSafe(workers, runs, run)
+	}
+}
+
+// routeScratch recycles the router's per-target scratch. A pooled slice
+// is all-zero over its whole capacity.
+var routeScratch = sync.Pool{New: func() any { return new([]int32) }}
+
+// getRouteScratch returns a pooled all-zero scratch of length nt.
+func getRouteScratch(nt int) *[]int32 {
+	p := routeScratch.Get().(*[]int32)
+	if cap(*p) < nt {
+		*p = make([]int32, nt)
+	}
+	*p = (*p)[:nt]
+	return p
 }
 
 // routeProto scans the non-empty sources for a shared batch shape. It
@@ -155,13 +210,10 @@ func routeSerial(d *dep, parent []Batch) []Batch {
 }
 
 // routeParallel routes source partitions concurrently on the session's
-// worker pool. A single-worker pool takes the serial path outright — the
-// dispatch would be pure overhead with no one to overlap it with (the
-// same 1-core audit flattenParallel got).
+// worker pool. On a single-worker session routeCore runs every loop
+// inline and never dispatches — the dispatch would be pure overhead with
+// no one to overlap it with (the same 1-core audit flattenParallel got).
 func (s *Session) routeParallel(d *dep, parent []Batch) []Batch {
-	if s.workers == 1 {
-		return routeCore(d, parent, nil, 1)
-	}
 	return routeCore(d, parent, s.pool, s.workers)
 }
 

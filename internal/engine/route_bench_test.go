@@ -103,15 +103,23 @@ func BenchmarkShuffleBoundary(b *testing.B) {
 }
 
 // BenchmarkShuffleRoute compares the retained serial router against the
-// counting-pass parallel router on uniform and skewed key distributions.
+// counting-pass parallel router on uniform and skewed key distributions
+// over a few large sources, and on the wide shape of inner-parallel
+// k-means: 1200 map partitions of 4 combined sums each into 1200 targets,
+// where routing bookkeeping, not element movement, is the cost.
+// `make bench-check` gates the wide shape's allocs/op.
 func BenchmarkShuffleRoute(b *testing.B) {
-	const nsrc, perSrc, nt = 8, 8192, 16
 	for _, dist := range []struct {
-		name string
-		skew bool
-	}{{"uniform", false}, {"skewed", true}} {
-		parent := benchParent(nsrc, perSrc, dist.skew)
-		d := benchDep(nt)
+		name             string
+		nsrc, perSrc, nt int
+		skew             bool
+	}{
+		{"uniform", 8, 8192, 16, false},
+		{"skewed", 8, 8192, 16, true},
+		{"wide", 1200, 4, 1200, false},
+	} {
+		parent := benchParent(dist.nsrc, dist.perSrc, dist.skew)
+		d := benchDep(dist.nt)
 		b.Run(dist.name+"/serial", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
